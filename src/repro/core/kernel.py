@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import accumulate
 from typing import (
     AbstractSet,
     Dict,
@@ -146,22 +147,21 @@ def build_data_csr(data: Graph) -> Tuple[IntVector, IntVector]:
 
     Rows keep :class:`~repro.graph.graph.Graph`'s sorted-neighbor order,
     so ``adj_flat[adj_indptr[v]:adj_indptr[v+1]]`` is a sorted array and
-    membership is a ``bisect``.  Built once per data graph and shared by
-    every compiled plan (see ``CFLMatch._kernel_data_csr``).  A graph
-    whose storage already *is* this CSR — a
-    :class:`~repro.core.shm.SharedGraph` over a shared segment or an
-    mmap'd ingest file — hands back its views instead: the per-worker
-    build becomes a pointer handoff.
+    membership is a ``bisect``.  A matcher builds it at most once per
+    data-graph ``version`` and shares it with every plan compiled at
+    that version (see ``CFLMatch._kernel_data_csr``); the returned
+    arrays are never mutated afterwards.  A graph whose storage already
+    *is* this CSR — a :class:`~repro.core.shm.SharedGraph` over a shared
+    segment or an mmap'd ingest file — hands back its views instead:
+    the per-worker build becomes a pointer handoff.
     """
     shared = getattr(data, "shared_data_csr", None)
     if shared is not None:
         indptr_view, flat_view = shared()
         return indptr_view, flat_view
-    indptr = array("i", [0])
-    flat = array("i")
-    for row in data.adj:
-        flat.extend(row)
-        indptr.append(len(flat))
+    adj = data.adj
+    indptr = array("i", [0, *accumulate(map(len, adj))])
+    flat = array("i", [w for row in adj for w in row])
     return indptr, flat
 
 
@@ -448,8 +448,9 @@ def compile_kernel_plan(
 ) -> KernelPlan:
     """Compile a prepared plan's stages into a :class:`KernelPlan`.
 
-    ``data_csr`` (from :func:`build_data_csr`) is per data graph, not per
-    plan — pass a cached pair to amortize it across queries.
+    ``data_csr`` (from :func:`build_data_csr`) is per data-graph
+    version, not per plan — pass a cached pair to amortize it across
+    queries.
     """
     if data_csr is None:
         data_csr = build_data_csr(cpi.data)

@@ -306,9 +306,10 @@ class CFLMatch:
         self.adaptive = adaptive
         self.adaptive_ratio = adaptive_ratio
         self.adaptive_min_nodes = adaptive_min_nodes
-        # Data-graph CSR for kernel compilation: one pair per matcher,
-        # shared by every compiled plan (built lazily on first use).
-        self._data_csr: Optional[tuple] = None
+        # ``(data.version, csr)``: the data-graph CSR for kernel
+        # compilation, built lazily at most once per graph version and
+        # shared by every plan compiled at that version.
+        self._data_csr: Optional[Tuple[int, tuple]] = None
         self._plan_cache: "OrderedDict[tuple, PreparedQuery]" = OrderedDict()
         #: number of full (uncached) ordering-phase runs; tests and the
         #: parallel engine assert "prepare ran exactly once" against it.
@@ -340,7 +341,9 @@ class CFLMatch:
         """
         caching = use_cache and self.plan_cache_size > 0
         if caching:
-            key = query.signature()
+            # Keyed on the data version too: a plan built before a
+            # mutation of a dynamic data graph is never served after it.
+            key = (query.signature(), self.data.version)
             cached = self._plan_cache.get(key)
             if cached is not None:
                 self._plan_cache.move_to_end(key)
@@ -517,12 +520,18 @@ class CFLMatch:
         )
 
     def _kernel_data_csr(self) -> tuple:
-        """Lazily built data-graph CSR shared by every compiled plan."""
-        csr = self._data_csr
-        if csr is None:
-            csr = build_data_csr(self.data)
-            self._data_csr = csr
-        return csr
+        """The data-graph CSR at the current ``data.version``.
+
+        Built at most once per version and shared by every plan compiled
+        at it.  A superseded CSR is dropped, never mutated, so a plan
+        compiled against it keeps an exact snapshot of its version.
+        """
+        version = self.data.version
+        cached = self._data_csr
+        if cached is None or cached[0] != version:
+            cached = (version, build_data_csr(self.data))
+            self._data_csr = cached
+        return cached[1]
 
     def _ensure_kernel(self, plan: PreparedQuery) -> KernelPlan:
         """The plan's compiled form, compiling on first use.

@@ -113,6 +113,15 @@ class Graph:
         """Number of edges |E(g)|."""
         return self._num_edges
 
+    @property
+    def version(self) -> int:
+        """Mutation counter; a frozen graph never changes, so always 0.
+
+        :class:`~repro.graph.dynamic.DynamicGraph` bumps it on every
+        mutation.  Caches derived from a graph key on it.
+        """
+        return 0
+
     def vertices(self) -> range:
         """All vertex ids."""
         return range(len(self.labels))

@@ -6,7 +6,9 @@ recomputation: after every delta, an
 what a cold :class:`~repro.core.matcher.CFLMatch` over a from-scratch
 copy of the mutated graph produces — the same embeddings, in the same
 enumeration order, with the same enumeration counters, and (stronger
-still) the same CPI contents.  This module packages that oracle as
+still) the same CPI contents.  So must one plain ``CFLMatch`` reused
+over the live graph across every delta.  This module packages that
+oracle as
 
 * :func:`incremental_differential_check` — one ``(data, query, stream)``
   instance, replayed step-by-step under every requested engine;
@@ -26,7 +28,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.dynamic import IncrementalMatcher
 from ..core.matcher import CFLMatch
@@ -104,6 +106,57 @@ def _cpi_payload(prepared) -> Tuple[List[List[int]], List[Dict[int, List[int]]]]
     )
 
 
+def _kernel_rows_current(prepared, data: Graph) -> bool:
+    """Whether the compiled plan's CSR rows for every candidate equal
+    ``data``'s adjacency — the only rows the kernel reads.  Checked
+    directly because the kernel reads them only for candidate rows of at
+    least ``_INTERSECT_MIN``, which small fuzz cases rarely reach."""
+    kernel = prepared.kernel
+    if kernel is None:
+        return True
+    indptr, flat = kernel.adj_indptr, kernel.adj_flat
+    return all(
+        list(flat[indptr[v]:indptr[v + 1]]) == list(data.adj[v])
+        for row in prepared.cpi.candidates
+        for v in row
+    )
+
+
+#: One side's search outcome: (rejection, embeddings, enumeration stats).
+_Outcome = Tuple[Optional[Exception], List[Tuple[int, ...]], SearchStats]
+_Side = Union[IncrementalMatcher, CFLMatch]
+
+
+def _search_outcome(matcher: _Side, query: Graph) -> _Outcome:
+    stats = SearchStats()
+    try:
+        return None, list(matcher.search(query, stats=stats)), stats
+    except (GraphError, ValueError) as exc:
+        return exc, [], stats
+
+
+def _divergence(got: _Outcome, want: _Outcome) -> Optional[str]:
+    """How ``got`` differs from the cold outcome ``want``, if it does."""
+    got_error, got_embeddings, got_stats = got
+    want_error, want_embeddings, want_stats = want
+    if (got_error is None) != (want_error is None):
+        return f"rejection disagreement (side={got_error!r}, cold={want_error!r})"
+    if got_embeddings != want_embeddings:
+        return (
+            f"embeddings diverge "
+            f"(side={len(got_embeddings)}, cold={len(want_embeddings)})"
+        )
+    got_dict, want_dict = got_stats.to_dict(), want_stats.to_dict()
+    if got_dict != want_dict:
+        diffs = {
+            name: (got_dict[name], want_dict[name])
+            for name in got_dict
+            if got_dict[name] != want_dict[name]
+        }
+        return f"enumeration counters diverge: {diffs}"
+    return None
+
+
 def incremental_differential_check(
     data: Graph,
     query: Graph,
@@ -112,80 +165,71 @@ def incremental_differential_check(
     rebuild_threshold: float = 0.75,
     check_cpi: bool = True,
 ) -> List[Mismatch]:
-    """Replay ``deltas`` against incremental repair and cold recompute.
+    """Replay ``deltas`` against live-graph matchers and cold recompute.
 
     For every engine, and at every step (initial state plus one per
-    delta), an :class:`IncrementalMatcher` over the mutating graph is
-    compared with a freshly constructed :class:`CFLMatch` over a
-    from-scratch copy: embeddings, enumeration order, full enumeration
-    ``SearchStats`` and (with ``check_cpi``) CPI candidates + adjacency
-    must be identical.  Queries both sides reject (e.g. disconnected)
-    count as agreement.  Returns one :class:`Mismatch` per divergence.
+    delta), two matchers over the mutating graph are compared with a
+    freshly constructed :class:`CFLMatch` over a from-scratch copy:
+
+    * ``incremental/{engine}`` — an :class:`IncrementalMatcher`
+      repairing its plan;
+    * ``reused/{engine}`` — one long-lived :class:`CFLMatch` with its
+      default plan cache, which must never serve a plan or kernel CSR
+      of an older graph version.
+
+    Embeddings, enumeration order, full enumeration ``SearchStats`` and
+    (with ``check_cpi``) CPI candidates + adjacency must be identical,
+    and a compiled kernel's CSR rows for every candidate must equal the
+    live graph's adjacency.
+    Queries both sides reject (e.g. disconnected) count as agreement.
+    Returns one :class:`Mismatch` per divergence; a side stops being
+    compared after its first.
     """
     mismatches: List[Mismatch] = []
     for engine in engines:
-        tag = f"incremental/{engine}"
         dynamic = DynamicGraph.from_graph(data)
-        matcher = IncrementalMatcher(
-            dynamic, engine=engine, rebuild_threshold=rebuild_threshold
-        )
+        sides: Dict[str, _Side] = {
+            f"incremental/{engine}": IncrementalMatcher(
+                dynamic, engine=engine, rebuild_threshold=rebuild_threshold
+            ),
+            f"reused/{engine}": CFLMatch(dynamic, engine=engine),
+        }
         for step in range(len(deltas) + 1):
+            if not sides:
+                break
             if step > 0:
                 dynamic.apply(deltas[step - 1])
             at = "initial" if step == 0 else f"after delta {step - 1} ({deltas[step - 1].format()})"
-            inc_stats = SearchStats()
-            inc_error: Optional[Exception] = None
-            inc_embeddings: List[Tuple[int, ...]] = []
-            try:
-                inc_embeddings = list(matcher.search(query, stats=inc_stats))
-            except (GraphError, ValueError) as exc:
-                inc_error = exc
             cold = CFLMatch(dynamic.to_static(), engine=engine)
-            cold_stats = SearchStats()
-            cold_error: Optional[Exception] = None
-            cold_embeddings: List[Tuple[int, ...]] = []
-            try:
-                cold_embeddings = list(cold.search(query, stats=cold_stats))
-            except (GraphError, ValueError) as exc:
-                cold_error = exc
-            if (inc_error is None) != (cold_error is None):
-                mismatches.append(Mismatch(
-                    tag, "dynamic-differential",
-                    f"{at}: rejection disagreement "
-                    f"(incremental={inc_error!r}, cold={cold_error!r})",
-                ))
-                break
-            if inc_error is not None:
-                # Both reject (same class of unsupported input): nothing
-                # further to compare, now or after later deltas.
-                break
-            if inc_embeddings != cold_embeddings:
-                mismatches.append(Mismatch(
-                    tag, "dynamic-differential",
-                    f"{at}: embeddings diverge "
-                    f"(incremental={len(inc_embeddings)}, cold={len(cold_embeddings)})",
-                ))
-                break
-            if inc_stats.to_dict() != cold_stats.to_dict():
-                diffs = {
-                    name: (inc_stats.to_dict()[name], cold_stats.to_dict()[name])
-                    for name in inc_stats.to_dict()
-                    if inc_stats.to_dict()[name] != cold_stats.to_dict()[name]
-                }
-                mismatches.append(Mismatch(
-                    tag, "dynamic-differential",
-                    f"{at}: enumeration counters diverge: {diffs}",
-                ))
-                break
-            if check_cpi:
-                inc_cpi = _cpi_payload(matcher.prepare(query))
+            want = _search_outcome(cold, query)
+            cold_cpi = None
+            if check_cpi and want[0] is None:
                 cold_cpi = _cpi_payload(cold.prepare(query, use_cache=False))
-                if inc_cpi != cold_cpi:
+            for tag, matcher in list(sides.items()):
+                try:
+                    got = _search_outcome(matcher, query)
+                except Exception as exc:  # noqa: BLE001 — a crash is a divergence
                     mismatches.append(Mismatch(
-                        tag, "dynamic-differential",
-                        f"{at}: repaired CPI differs from rebuilt CPI",
+                        tag, "dynamic-differential", f"{at}: crashed: {exc!r}"
                     ))
-                    break
+                    del sides[tag]
+                    continue
+                detail = _divergence(got, want)
+                if detail is None and cold_cpi is not None:
+                    prepared = matcher.prepare(query)
+                    if _cpi_payload(prepared) != cold_cpi:
+                        detail = "repaired CPI differs from rebuilt CPI"
+                    elif not _kernel_rows_current(prepared, dynamic):
+                        detail = "kernel CSR rows differ from the live graph"
+                if detail is not None:
+                    mismatches.append(
+                        Mismatch(tag, "dynamic-differential", f"{at}: {detail}")
+                    )
+                    del sides[tag]
+                elif got[0] is not None:
+                    # Both reject (same class of unsupported input):
+                    # nothing further to compare, now or after later deltas.
+                    del sides[tag]
     return mismatches
 
 

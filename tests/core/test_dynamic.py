@@ -237,6 +237,54 @@ class TestRepairDispatch:
         assert report.results == [(0, 2), (0, 3), (1, 3)]
 
 
+def dense_dynamic(seed, vertices=150, edges=3000):
+    """Two labels, average degree 40: candidate rows exceed the kernel's
+    ``_INTERSECT_MIN``, so enumeration reads the data-graph CSR."""
+    rng = random.Random(seed)
+    labels = [rng.randrange(2) for _ in range(vertices)]
+    edge_set = set()
+    while len(edge_set) < edges:
+        u, v = rng.sample(range(vertices), 2)
+        edge_set.add((min(u, v), max(u, v)))
+    return DynamicGraph(labels, sorted(edge_set)), rng
+
+
+def toggle_edges(data, rng, count):
+    for _ in range(count):
+        u, v = rng.sample(range(data.num_vertices), 2)
+        if data.has_edge(u, v):
+            data.remove_edge(u, v)
+        else:
+            data.add_edge(u, v)
+
+
+# ----------------------------------------------------------------------
+# A plain CFLMatch reused over a mutating DynamicGraph
+# ----------------------------------------------------------------------
+class TestMatcherReuse:
+    """Plans and the kernel CSR are keyed on ``data.version``, so one
+    long-lived matcher stays exact across mutations."""
+
+    def test_kernel_csr_follows_mutations(self):
+        data, rng = dense_dynamic(0)
+        query = Graph([0, 1, 0, 1], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        matcher = CFLMatch(data, plan_cache_size=0)
+        matcher.count(query)
+        toggle_edges(data, rng, 200)
+        want = CFLMatch(data.to_static(), engine="reference").count(query)
+        assert matcher.count(query) == want
+
+    def test_plan_cache_follows_mutations(self):
+        data, query = small_instance()
+        matcher = CFLMatch(data)
+        assert matcher.count(query) == 2
+        data.add_edge(0, 3)
+        assert matcher.count(query) == 3
+        assert matcher.plan_cache_hits == 0
+        assert matcher.count(query) == 3        # same version: a hit
+        assert matcher.plan_cache_hits == 1
+
+
 # ----------------------------------------------------------------------
 # Continuous queries: created / tombstone streams
 # ----------------------------------------------------------------------

@@ -15,20 +15,27 @@ The contract under test (see ``repro/core/kernel.py``):
   recompile the kernel correctly.
 """
 
+import random
+
 import pytest
 
+import repro.core.matcher as matcher_module
 from repro.core import CFLMatch
 from repro.core.core_match import CPIBacktracker
+from repro.core.dynamic import IncrementalMatcher
 from repro.core.cpi import EMPTY_CANDIDATES
 from repro.core.kernel import (
     MODE_CROSS,
     MODE_ROOT,
     MODE_TREE,
+    build_data_csr,
     compile_kernel_plan,
 )
 from repro.core.matcher import ENGINES
 from repro.core.parallel import decode_plan, encode_plan, parallel_count
 from repro.core.stats import SearchStats, monotonic_now
+from repro.graph.dynamic import DynamicGraph
+from repro.graph.graph import Graph
 from repro.testing.workloads import (
     CONNECTED_QUERY_SCENARIOS,
     WorkloadSpec,
@@ -259,6 +266,51 @@ class TestCompiledPlanStructure:
         assert first is not second
         assert first.adj_indptr is second.adj_indptr
         assert first.adj_flat is second.adj_flat
+
+    def test_data_csr_built_once_per_version(self, monkeypatch):
+        """Six standing queries synced after one dirtying delta share a
+        single CSR build; the next version gets a fresh array."""
+        builds = []
+
+        def counting_build(data):
+            builds.append(data.version)
+            return build_data_csr(data)
+
+        monkeypatch.setattr(matcher_module, "build_data_csr", counting_build)
+        rng = random.Random(5)
+        labels = [rng.randrange(2) for _ in range(40)]
+        edges = set()
+        while len(edges) < 200:
+            u, v = rng.sample(range(40), 2)
+            edges.add((min(u, v), max(u, v)))
+        data = DynamicGraph(labels, sorted(edges))
+        queries = [
+            Graph([0, 1], [(0, 1)]),
+            Graph([0, 1, 0], [(0, 1), (1, 2)]),
+            Graph([0, 1, 1], [(0, 1), (1, 2), (0, 2)]),
+            Graph([0, 1, 0, 1], [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            Graph([0, 1, 0, 1], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            Graph([1, 0, 0, 0], [(0, 1), (0, 2), (0, 3)]),
+        ]
+        inc = IncrementalMatcher(data)
+        for query in queries:
+            inc.prepare(query)
+        assert builds == [0]
+        u, v = next(
+            (u, v) for u in range(40) for v in range(u + 1, 40)
+            if not data.has_edge(u, v)
+        )
+        data.add_edge(u, v)
+        for query in queries:
+            inc.prepare(query)
+        assert builds == [0, 1]
+        flat = inc.prepare(queries[0]).kernel.adj_flat
+        assert all(inc.prepare(q).kernel.adj_flat is flat for q in queries)
+        data.remove_edge(u, v)
+        for query in queries:
+            inc.prepare(query)
+        assert builds == [0, 1, 2]
+        assert inc.prepare(queries[0]).kernel.adj_flat is not flat
 
     def test_plan_cache_reuses_compiled_kernel(self):
         case = generate_case(0, 0, DENSE_SPEC)
