@@ -28,18 +28,35 @@ finishing an arbitrarily expensive build.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..graph.graph import Graph
 from .core_match import SearchTimeout
 from .cpi import CPI, QueryBFSTree
-from .filters import cand_verify, make_counting_verify
+from .filters import cand_verify, verify_candidates
 from .stats import SearchStats, monotonic_now
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .batch import AuxAdjacencyCache
 
 VerifyFn = Callable[[Graph, Graph, int, int], bool]
+RowFn = Callable[[int], Sequence[int]]
+
+#: ``(row_of, cands)``: follow ``row_of(v')`` out of every ``v'`` in ``cands``.
+Source = Tuple[RowFn, Sequence[int]]
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -54,25 +71,120 @@ def _root_candidates(
     verify: Optional[VerifyFn],
     stats: Optional[SearchStats] = None,
 ) -> List[int]:
-    """Lines 1-2 of Algorithm 3: label + degree + CandVerify on the root.
+    """Lines 1-2 of Algorithm 3: label + degree + CandVerify on the root,
+    counting the degree prunes, the structural (pre-CandVerify)
+    survivors and the per-filter CandVerify rejections."""
+    same_label = data.vertices_with_label(query.label(root))
+    degree, adj = query.degree(root), data.adj
+    structural = [v for v in same_label if len(adj[v]) >= degree]
+    if stats is not None:
+        stats.filter_degree_pruned += len(same_label) - len(structural)
+        stats.cpi_candidates_structural += len(structural)
+    return verify_candidates(query, data, root, structural, verify, stats)
 
-    ``verify`` must already be counting-wrapped if per-filter attribution
-    is wanted; this helper only counts the degree prunes and the
-    structural (pre-CandVerify) survivors.
+
+def _sources(
+    query: Graph,
+    data: Graph,
+    u: int,
+    neighbors: Iterable[int],
+    cands_of: RowFn,
+    aux: Optional["AuxAdjacencyCache"] = None,
+) -> List[Source]:
+    """One reach source toward ``u`` per query neighbor in ``neighbors``.
+
+    With ``aux`` the rows are the cached ``(l(u'), l(u), d(u))`` rows:
+    the label-matching, degree-bucket-filtered subsequences of the raw
+    rows, which reach the same label-``l(u)`` vertices of degree at
+    least ``d(u)``.
     """
-    root_degree = query.degree(root)
-    cands: List[int] = []
-    for v in data.vertices_with_label(query.label(root)):
-        if data.degree(v) < root_degree:
-            if stats is not None:
-                stats.filter_degree_pruned += 1
-            continue
-        if stats is not None:
-            stats.cpi_candidates_structural += 1
-        if verify is not None and not verify(query, data, root, v):
-            continue
-        cands.append(v)
-    return cands
+    if aux is None:
+        row_of = data.adj.__getitem__
+        return [(row_of, cands_of(x)) for x in neighbors]
+    label, degree = query.label(u), query.degree(u)
+    return [
+        (aux.lookup(query.label(x), label, degree).row, cands_of(x))
+        for x in neighbors
+    ]
+
+
+def _common_reach(
+    sources: Iterable[Source], within: Optional[Iterable[int]] = None
+) -> Set[int]:
+    """Data vertices adjacent to some candidate of *every* source, and in
+    ``within`` when given: the set Lemma 5.1's gated counter selects
+    (docs/algorithms.md), by C-level set union and intersection."""
+    reach = None if within is None else set(within)
+    for row_of, cands in sources:
+        rows = chain.from_iterable(map(row_of, cands))
+        if reach is None:
+            reach = set(rows)
+        elif reach:
+            reach.intersection_update(rows)
+    return set() if reach is None else reach
+
+
+def _forward_candidates(
+    query: Graph,
+    data: Graph,
+    u: int,
+    sources: List[Source],
+    verify: Optional[VerifyFn],
+    stats: Optional[SearchStats],
+) -> List[int]:
+    """Lines 5-17 of Algorithm 3: the common reach of the visited
+    neighbors, label- and degree-filtered, sorted, then CandVerified."""
+    label, degree = query.label(u), query.degree(u)
+    labels, adj = data.labels, data.adj
+    structural = sorted(
+        v
+        for v in _common_reach(sources)
+        if labels[v] == label and len(adj[v]) >= degree
+    )
+    if stats is not None:
+        stats.cpi_candidates_structural += len(structural)
+    return verify_candidates(query, data, u, structural, verify, stats)
+
+
+def _keep_reached(cands: List[int], sources: List[Source]) -> List[int]:
+    """``cands`` (already label/degree-filtered) restricted to the common
+    reach of ``sources``; ``cands`` itself when nothing is dropped."""
+    reach = _common_reach(sources, within=cands)
+    if len(reach) == len(cands):
+        return cands
+    return [v for v in cands if v in reach]
+
+
+def _adjacency_table(
+    row_of: RowFn, parents: Sequence[int], cands: Sequence[int]
+) -> Dict[int, List[int]]:
+    """Lines 24-28 of Algorithm 3: every parent candidate's row cut to
+    ``cands``, empty rows dropped.  ``cands`` holds only label-``l(u)``
+    vertices, so no label test is needed."""
+    keep = set(cands).__contains__
+    return {v_p: row for v_p in parents if (row := list(filter(keep, row_of(v_p))))}
+
+
+def _refine_table(
+    table: Mapping[int, Sequence[int]],
+    parent_cands: AbstractSet[int],
+    child_cands: AbstractSet[int],
+    stats: Optional[SearchStats],
+) -> Dict[int, List[int]]:
+    """Lines 8-11 of Algorithm 4: a copy of a child table keeping the
+    rows of surviving parent candidates, each cut to the child's
+    candidates; every dropped entry counts as refine_adjacency_pruned."""
+    keep = child_cands.__contains__
+    refined: Dict[int, List[int]] = {}
+    dropped = 0
+    for v, row in table.items():
+        pruned = list(filter(keep, row)) if v in parent_cands else []
+        dropped += len(row) - len(pruned)
+        if pruned:
+            refined[v] = pruned
+    if stats is not None:
+        stats.refine_adjacency_pruned += dropped
+    return refined
 
 
 def _record_build_totals(cpi: CPI, stats: Optional[SearchStats]) -> None:
@@ -103,8 +215,7 @@ def build_cpi(
     resulting CPI is identical with or without it.
     """
     tree = QueryBFSTree.build(query, root)
-    counted = make_counting_verify(verify, stats)
-    cpi = _top_down_construct(tree, data, counted, stats, deadline, aux)
+    cpi = _top_down_construct(tree, data, verify, stats, deadline, aux)
     if stats is not None:
         stats.cpi_candidates_topdown += sum(len(c) for c in cpi.candidates)
     if refine:
@@ -125,19 +236,14 @@ def build_naive_cpi(
     """Section 4.1's naive sound CPI: ``u.C`` = all vertices labeled l(u)."""
     tree = QueryBFSTree.build(query, root)
     candidates = [list(data.vertices_with_label(query.label(u))) for u in query.vertices()]
-    cand_sets = [set(c) for c in candidates]
     adjacency: List[Dict[int, List[int]]] = [dict() for _ in query.vertices()]
     for u in query.vertices():
         _check_deadline(deadline)
         parent = tree.parent[u]
-        if parent is None:
-            continue
-        u_set = cand_sets[u]
-        table = adjacency[u]
-        for v_p in candidates[parent]:
-            row = [v for v in data.neighbors(v_p) if v in u_set]
-            if row:
-                table[v_p] = row
+        if parent is not None:
+            adjacency[u] = _adjacency_table(
+                data.adj.__getitem__, candidates[parent], candidates[u]
+            )
     cpi = CPI(tree, data, candidates, adjacency)
     if stats is not None:
         total = sum(len(c) for c in candidates)
@@ -150,6 +256,21 @@ def build_naive_cpi(
 # ----------------------------------------------------------------------
 # Top-down construction (Algorithm 3)
 # ----------------------------------------------------------------------
+def _split_neighbors(
+    query: Graph, tree: QueryBFSTree, visited: List[bool], u: int
+) -> Tuple[List[int], List[int]]:
+    """``u``'s visited neighbors (forward sources) and unvisited
+    same-level neighbors (backward S-NTE sources), in neighbor order."""
+    sources: List[int] = []
+    pending: List[int] = []
+    for u_prime in query.neighbors(u):
+        if visited[u_prime]:
+            sources.append(u_prime)
+        elif tree.level[u_prime] == tree.level[u]:
+            pending.append(u_prime)
+    return sources, pending
+
+
 def _top_down_construct(
     tree: QueryBFSTree,
     data: Graph,
@@ -164,42 +285,25 @@ def _top_down_construct(
 
     candidates: List[List[int]] = [[] for _ in range(n_q)]
     adjacency: List[Dict[int, List[int]]] = [dict() for _ in range(n_q)]
-
+    cands_of = candidates.__getitem__
     candidates[root] = _root_candidates(query, data, root, verify, stats)
 
     visited = [False] * n_q
     visited[root] = True
-    cnt = [0] * data.num_vertices
     unvisited_same_level: List[List[int]] = [[] for _ in range(n_q)]
 
     for level_vertices in tree.levels[1:]:
         # ---- Forward candidate generation (Lines 5-17) ----
         for u in level_vertices:
             _check_deadline(deadline)
-            total, touched = 0, []
-            for u_prime in query.neighbors(u):
-                if not visited[u_prime] and tree.level[u_prime] == tree.level[u]:
-                    unvisited_same_level[u].append(u_prime)
-                elif visited[u_prime]:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        candidates[u_prime], cnt, touched, total, aux,
-                    )
-                    total += 1
-            u_cands: List[int] = []
-            for v in touched:
-                if cnt[v] != total:
-                    continue
-                if stats is not None:
-                    stats.cpi_candidates_structural += 1
-                if verify is not None and not verify(query, data, u, v):
-                    continue
-                u_cands.append(v)
-            u_cands.sort()
-            candidates[u] = u_cands
+            sources, unvisited_same_level[u] = _split_neighbors(
+                query, tree, visited, u
+            )
+            candidates[u] = _forward_candidates(
+                query, data, u, _sources(query, data, u, sources, cands_of, aux),
+                verify, stats,
+            )
             visited[u] = True
-            for v in touched:
-                cnt[v] = 0
 
         # ---- Backward candidate pruning (Lines 18-23) ----
         for u in reversed(level_vertices):
@@ -207,98 +311,28 @@ def _top_down_construct(
             if not pending:
                 continue
             _check_deadline(deadline)
-            total, touched = 0, []
-            for u_prime in pending:
-                _accumulate(
-                    query, data, u, query.label(u_prime),
-                    candidates[u_prime], cnt, touched, total, aux,
-                )
-                total += 1
             before = len(candidates[u])
-            candidates[u] = [v for v in candidates[u] if cnt[v] == total]
+            candidates[u] = _keep_reached(
+                candidates[u], _sources(query, data, u, pending, cands_of, aux)
+            )
             if stats is not None:
                 stats.filter_snte_pruned += before - len(candidates[u])
-            for v in touched:
-                cnt[v] = 0
 
         # ---- Adjacency list construction (Lines 24-28) ----
         for u in level_vertices:
             _check_deadline(deadline)
             u_parent = tree.parent[u]
             assert u_parent is not None
-            u_label = query.label(u)
-            u_set = set(candidates[u])
-            table = adjacency[u]
+            # Members of u.C passed the degree >= d(u) gate, so the aux
+            # row keeps exactly the neighbors the raw row would keep.
+            row_of: RowFn = data.adj.__getitem__
             if aux is not None:
-                # Every member of u_set passed the degree >= deg(u) gate,
-                # so the bucket-prefiltered aux row keeps exactly the
-                # label-matching neighbors the raw scan would keep.
-                entry = aux.lookup(
-                    query.label(u_parent), u_label, query.degree(u)
-                )
-                for v_p in candidates[u_parent]:
-                    row = [v for v in entry.row(v_p) if v in u_set]
-                    if row:
-                        table[v_p] = row
-                continue
-            for v_p in candidates[u_parent]:
-                row = [
-                    v
-                    for v in data.neighbors(v_p)
-                    if data.label(v) == u_label and v in u_set
-                ]
-                if row:
-                    table[v_p] = row
+                key = (query.label(u_parent), query.label(u), query.degree(u))
+                row_of = aux.lookup(*key).row
+            adjacency[u] = _adjacency_table(
+                row_of, candidates[u_parent], candidates[u]
+            )
     return CPI(tree, data, candidates, adjacency)
-
-
-def _accumulate(
-    query: Graph,
-    data: Graph,
-    u: int,
-    parent_label: int,
-    neighbor_candidates: List[int],
-    cnt: List[int],
-    touched: List[int],
-    expected: int,
-    aux: Optional["AuxAdjacencyCache"] = None,
-) -> None:
-    """Lines 11-13 of Algorithm 3: bump ``cnt`` of label/degree-feasible
-    data neighbors of every candidate of a query neighbor of ``u``.
-
-    ``cnt[v]`` is incremented at most once per query neighbor because the
-    bump is gated on ``cnt[v] == expected`` (the neighbors already seen).
-    ``parent_label`` is the query label of the neighbor whose candidates
-    are being expanded (every candidate carries that data label); with
-    ``aux`` the inner scan walks the cached pre-intersected row — the
-    label-matching, degree-bucket-filtered subsequence of the raw
-    adjacency, in the same sorted order — and only re-checks the exact
-    degree when the bucket under-approximates it.
-    """
-    u_label = query.label(u)
-    u_degree = query.degree(u)
-    data_adj = data.adj
-    if aux is not None:
-        entry = aux.lookup(parent_label, u_label, u_degree)
-        exact_degree = u_degree > entry.bucket
-        for v_prime in neighbor_candidates:
-            for v in entry.row(v_prime):
-                if exact_degree and len(data_adj[v]) < u_degree:
-                    continue
-                if cnt[v] == expected:
-                    if expected == 0:
-                        touched.append(v)
-                    cnt[v] = expected + 1
-        return
-    data_labels = data.labels
-    for v_prime in neighbor_candidates:
-        for v in data_adj[v_prime]:
-            if data_labels[v] != u_label or len(data_adj[v]) < u_degree:
-                continue
-            if cnt[v] == expected:
-                if expected == 0:
-                    touched.append(v)
-                cnt[v] = expected + 1
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +347,7 @@ def _bottom_up_refine(
     tree = cpi.tree
     query = tree.query
     data = cpi.data
-    cnt = [0] * data.num_vertices
+    cands_of = cpi.candidates.__getitem__
 
     for level_vertices in reversed(tree.levels):
         for u in level_vertices:
@@ -323,46 +357,22 @@ def _bottom_up_refine(
                 for u_prime in query.neighbors(u)
                 if tree.level[u_prime] > tree.level[u]
             ]
+            # Tree children are lower neighbors: no lower, nothing to do.
+            if not lower:
+                continue
             # ---- Candidate refinement (Lines 2-7) ----
-            if lower:
-                total, touched = 0, []
-                for u_prime in lower:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        cpi.candidates[u_prime], cnt, touched, total, aux,
-                    )
-                    total += 1
-                kept, dropped = [], []
-                for v in cpi.candidates[u]:
-                    if cnt[v] == total:
-                        kept.append(v)
-                    else:
-                        dropped.append(v)
-                if dropped:
-                    cpi.candidates[u] = kept
-                    cpi.cand_sets[u] = set(kept)
-                    if stats is not None:
-                        stats.refine_candidates_pruned += len(dropped)
-                    for child in tree.children[u]:
-                        child_table = cpi.adjacency[child]
-                        for v in dropped:
-                            removed = child_table.pop(v, None)
-                            if removed is not None and stats is not None:
-                                stats.refine_adjacency_pruned += len(removed)
-                for v in touched:
-                    cnt[v] = 0
+            before = cpi.candidates[u]
+            kept = _keep_reached(
+                before, _sources(query, data, u, lower, cands_of, aux)
+            )
+            if kept is not before:
+                cpi.candidates[u] = kept
+                cpi.cand_sets[u] = set(kept)
+                if stats is not None:
+                    stats.refine_candidates_pruned += len(before) - len(kept)
             # ---- Adjacency list pruning (Lines 8-11) ----
             for child in tree.children[u]:
-                child_set = cpi.cand_sets[child]
-                child_table = cpi.adjacency[child]
-                for v in cpi.candidates[u]:
-                    row = child_table.get(v)
-                    if row is None:
-                        continue
-                    pruned = [v_prime for v_prime in row if v_prime in child_set]
-                    if stats is not None:
-                        stats.refine_adjacency_pruned += len(row) - len(pruned)
-                    if pruned:
-                        child_table[v] = pruned
-                    else:
-                        del child_table[v]
+                cpi.adjacency[child] = _refine_table(
+                    cpi.adjacency[child], cpi.cand_sets[u],
+                    cpi.cand_sets[child], stats,
+                )

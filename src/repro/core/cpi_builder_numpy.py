@@ -11,9 +11,12 @@ the data graph:
   per-candidate — it is only evaluated on the already-small survivor set);
 * adjacency rows are gathered with boolean membership bitmaps.
 
-Select it with ``CFLMatch(data, cpi_impl="numpy")``.  On medium graphs
-this cuts CPI build time (the dominant cost of the ordering phase in pure
-Python, see Figure 10) several-fold; the equivalence is property-tested.
+Select it with ``CFLMatch(data, cpi_impl="numpy")``; the equivalence,
+counters included, is property-tested.  It is not faster than the
+default builder on the benchmark workloads: measured in one process on
+a 2-CPU Xeon (median per-query prepare, 35 proxy-prepare and 25
+dense-enum queries, 5 repeats), it takes 106 vs 71 ms and 21 vs 13 ms
+(docs/performance.md).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .cpi_builder import (
     _record_build_totals,
     _root_candidates,
 )
-from .filters import cand_verify, make_counting_verify, nlf_ok
+from .filters import cand_verify, nlf_ok, verify_candidates
 from .stats import SearchStats
 
 
@@ -165,11 +168,8 @@ class _NumpyBuildState:
                 elif stats is not None:
                     stats.filter_nlf_pruned += 1
             return kept
-        survivors = np.flatnonzero(mask)
-        if self.verify is None:
-            return [int(v) for v in survivors]
-        verify = make_counting_verify(self.verify, stats)
-        return [int(v) for v in survivors if verify(query, data, u, int(v))]
+        survivors = np.flatnonzero(mask).tolist()
+        return verify_candidates(query, data, u, survivors, self.verify, stats)
 
     def reset(self) -> None:
         self.count[:] = 0
@@ -218,8 +218,7 @@ def _top_down(
     adjacency: List[Dict[int, List[int]]] = [dict() for _ in range(n_q)]
 
     candidates[root] = _root_candidates(
-        query, data, root, make_counting_verify(state.verify, state.stats),
-        state.stats,
+        query, data, root, state.verify, state.stats
     )
 
     visited = [False] * n_q

@@ -62,13 +62,18 @@ from ..graph.dynamic import Delta, DynamicGraph
 from ..graph.graph import Graph, GraphError
 from .cpi import CPI, QueryBFSTree
 from .cpi_builder import (
-    _accumulate,
+    _adjacency_table,
     _check_deadline,
+    _forward_candidates,
+    _keep_reached,
     _record_build_totals,
+    _refine_table,
     _root_candidates,
+    _sources,
+    _split_neighbors,
 )
 from .decomposition import cfl_decompose
-from .filters import cand_verify, make_counting_verify
+from .filters import cand_verify
 from .matcher import CFLMatch, MatchReport, PreparedQuery
 from .root_selection import select_root
 from .stats import (
@@ -97,9 +102,8 @@ class RepairState:
 
     ``forward[u]`` is Algorithm 3's post-forward-generation candidate
     list, ``topdown[u]`` the post-backward (S-NTE pruned) list,
-    ``topdown_adj[u]`` a snapshot of the adjacency table *before*
-    bottom-up refinement (refinement mutates tables in place, so the
-    snapshot is what lets a later sweep re-refine from scratch), and
+    ``topdown_adj[u]`` the adjacency table *before* bottom-up
+    refinement (what lets a later sweep re-refine from scratch), and
     ``final_cands`` / ``final_adj`` the refined values that became the
     CPI.  A repair sweep reuses any unit whose inputs are provably
     untouched and recomputes the rest, so equality of recomputed values
@@ -168,7 +172,6 @@ def _repair_sweep(
     else:
         tree = QueryBFSTree.build(query, root)
     n_q = query.num_vertices
-    counted = make_counting_verify(verify, stats)
 
     def label_dirty(u: int) -> bool:
         return dirty is None or query.label(u) in dirty
@@ -182,12 +185,12 @@ def _repair_sweep(
 
     visited = [False] * n_q
     visited[root] = True
-    cnt = [0] * data.num_vertices
     pending_same_level: List[List[int]] = [[] for _ in range(n_q)]
+    row_of = data.adj.__getitem__
 
     # ---- Root candidates (Algorithm 3, lines 1-2) ----
     if prev is None or label_dirty(root):
-        forward[root] = _root_candidates(query, data, root, counted, stats)
+        forward[root] = _root_candidates(query, data, root, verify, stats)
         forward_changed[root] = prev is None or forward[root] != prev.forward[root]
     else:
         forward[root] = prev.forward[root]
@@ -210,41 +213,22 @@ def _repair_sweep(
         # ---- Forward candidate generation (lines 5-17) ----
         for u in level_vertices:
             _check_deadline(deadline)
-            pending: List[int] = []
-            sources: List[int] = []
-            for u_prime in query.neighbors(u):
-                if not visited[u_prime] and tree.level[u_prime] == level:
-                    pending.append(u_prime)
-                elif visited[u_prime]:
-                    sources.append(u_prime)
-            pending_same_level[u] = pending
+            sources, pending_same_level[u] = _split_neighbors(
+                query, tree, visited, u
+            )
             recompute = (
                 prev is None
                 or label_dirty(u)
                 or any(label_dirty(x) or read_changed(x) for x in sources)
             )
             if recompute:
-                total = 0
-                touched: List[int] = []
-                for u_prime in sources:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        read_value(u_prime), cnt, touched, total, None,
-                    )
-                    total += 1
-                u_cands: List[int] = []
-                for v in touched:
-                    if cnt[v] != total:
-                        continue
-                    stats.cpi_candidates_structural += 1
-                    if counted is not None and not counted(query, data, u, v):
-                        continue
-                    u_cands.append(v)
-                u_cands.sort()
+                u_cands = _forward_candidates(
+                    query, data, u,
+                    _sources(query, data, u, sources, read_value),
+                    verify, stats,
+                )
                 forward[u] = u_cands
                 forward_changed[u] = prev is None or u_cands != prev.forward[u]
-                for v in touched:
-                    cnt[v] = 0
             else:
                 assert prev is not None
                 forward[u] = prev.forward[u]
@@ -267,19 +251,11 @@ def _repair_sweep(
                 or any(label_dirty(x) or topdown_changed[x] for x in pending)
             )
             if recompute:
-                total = 0
-                touched = []
-                for u_prime in pending:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        topdown[u_prime], cnt, touched, total, None,
-                    )
-                    total += 1
-                before = len(forward[u])
-                kept = [v for v in forward[u] if cnt[v] == total]
-                stats.filter_snte_pruned += before - len(kept)
-                for v in touched:
-                    cnt[v] = 0
+                kept = _keep_reached(
+                    forward[u],
+                    _sources(query, data, u, pending, topdown.__getitem__),
+                )
+                stats.filter_snte_pruned += len(forward[u]) - len(kept)
                 topdown[u] = kept
                 topdown_changed[u] = prev is None or kept != prev.topdown[u]
             else:
@@ -299,17 +275,7 @@ def _repair_sweep(
                 or topdown_changed[u_parent]
             )
             if recompute:
-                u_label = query.label(u)
-                u_set = set(topdown[u])
-                table: Dict[int, List[int]] = {}
-                for v_p in topdown[u_parent]:
-                    row = [
-                        v
-                        for v in data.neighbors(v_p)
-                        if data.label(v) == u_label and v in u_set
-                    ]
-                    if row:
-                        table[v_p] = row
+                table = _adjacency_table(row_of, topdown[u_parent], topdown[u])
                 topdown_adj[u] = table
                 adj_changed[u] = prev is None or table != prev.topdown_adj[u]
             else:
@@ -322,7 +288,8 @@ def _repair_sweep(
     # ---- Bottom-up refinement (Algorithm 4) ----
     # refine(u) reads lower neighbors at their refined value and
     # finalizes the adjacency tables of u's children; the root's (empty)
-    # table is final as built.
+    # table is final as built.  Tables are refined into fresh dicts, so
+    # the top-down snapshots stay intact for the next sweep.
     final_cands: List[List[int]] = list(topdown)
     final_adj: List[Dict[int, List[int]]] = list(topdown_adj)
     refined_changed = [False] * n_q
@@ -349,56 +316,22 @@ def _repair_sweep(
                 for c in children:
                     final_adj[c] = prev.final_adj[c]
                 continue
-            # Refinement mutates adjacency tables in place, so work on
-            # fresh copies and leave the top-down snapshots intact for
-            # the next sweep's RepairState.
-            work_adj = {c: dict(topdown_adj[c]) for c in children}
             cands_u = final_cands[u]
-            # ---- Candidate refinement (lines 2-7) ----
+            # Tree children are lower neighbors: no lower, no children.
             if lower:
-                total = 0
-                touched = []
-                for u_prime in lower:
-                    _accumulate(
-                        query, data, u, query.label(u_prime),
-                        final_cands[u_prime], cnt, touched, total, None,
+                # ---- Candidate refinement (lines 2-7) ----
+                cands_u = _keep_reached(
+                    cands_u,
+                    _sources(query, data, u, lower, final_cands.__getitem__),
+                )
+                stats.refine_candidates_pruned += len(final_cands[u]) - len(cands_u)
+                # ---- Adjacency pruning (lines 8-11) ----
+                kept_set = set(cands_u)
+                for c in children:
+                    final_adj[c] = _refine_table(
+                        topdown_adj[c], kept_set, set(final_cands[c]), stats
                     )
-                    total += 1
-                kept = []
-                dropped = []
-                for v in cands_u:
-                    if cnt[v] == total:
-                        kept.append(v)
-                    else:
-                        dropped.append(v)
-                if dropped:
-                    cands_u = kept
-                    stats.refine_candidates_pruned += len(dropped)
-                    for c in children:
-                        child_table = work_adj[c]
-                        for v in dropped:
-                            removed = child_table.pop(v, None)
-                            if removed is not None:
-                                stats.refine_adjacency_pruned += len(removed)
-                for v in touched:
-                    cnt[v] = 0
-            # ---- Adjacency pruning (lines 8-11) ----
-            for c in children:
-                child_set = set(final_cands[c])
-                child_table = work_adj[c]
-                for v in cands_u:
-                    row = child_table.get(v)
-                    if row is None:
-                        continue
-                    pruned = [v_prime for v_prime in row if v_prime in child_set]
-                    stats.refine_adjacency_pruned += len(row) - len(pruned)
-                    if pruned:
-                        child_table[v] = pruned
-                    else:
-                        del child_table[v]
             final_cands[u] = cands_u
-            for c in children:
-                final_adj[c] = work_adj[c]
             refined_changed[u] = prev is None or cands_u != prev.final_cands[u]
 
     stats.refine_passes += 1

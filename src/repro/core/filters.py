@@ -37,7 +37,7 @@ the rejection).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from ..graph.graph import Graph
 from .stats import SearchStats
@@ -126,30 +126,18 @@ def make_counting_verify(
 ) -> Optional[Callable[[Graph, Graph, int, int], bool]]:
     """Wrap a CandVerify callable so rejections are counted per filter.
 
-    For the default :func:`cand_verify` the MND and NLF rejections are
-    attributed to ``filter_mnd_pruned`` / ``filter_nlf_pruned``
-    (preserving Algorithm 6's check order); an
-    :class:`ExtendedCandVerify` additionally attributes its label-pair
-    and NLI rejections to ``filter_label_pair_pruned`` /
-    ``filter_nli_pruned`` in check order; any other callable is
-    counted under ``filter_other_pruned``.  With ``stats=None`` (or
+    An :class:`ExtendedCandVerify` attributes its label-pair, NLI, MND
+    and NLF rejections to ``filter_label_pair_pruned`` /
+    ``filter_nli_pruned`` / ``filter_mnd_pruned`` /
+    ``filter_nlf_pruned`` in check order; any other callable is counted
+    under ``filter_other_pruned``.  The default :func:`cand_verify` is
+    counted by :func:`verify_candidates`, which is the way to verify a
+    list of vertices with any callable.  With ``stats=None`` (or
     ``verify=None``) the original callable is returned untouched, so
     the uncounted hot path pays nothing.
     """
     if stats is None or verify is None:
         return verify
-    if verify is cand_verify:
-
-        def counted(query: Graph, data: Graph, u: int, v: int) -> bool:
-            if data.mnd(v) < query.mnd(u):
-                stats.filter_mnd_pruned += 1
-                return False
-            if not nlf_ok(query, data, u, v):
-                stats.filter_nlf_pruned += 1
-                return False
-            return True
-
-        return counted
     if isinstance(verify, ExtendedCandVerify):
         extended = verify
 
@@ -179,3 +167,48 @@ def make_counting_verify(
         return True
 
     return counted_other
+
+
+def verify_candidates(
+    query: Graph,
+    data: Graph,
+    u: int,
+    vertices: Iterable[int],
+    verify: Optional[Callable[[Graph, Graph, int, int], bool]],
+    stats: Optional[SearchStats],
+) -> List[int]:
+    """The ``vertices`` that pass ``verify`` for ``u``, in input order.
+
+    For the default :func:`cand_verify`, ``u``'s MND bound and NLF
+    requirements are read once for the whole list, and the MND and NLF
+    rejections are charged to ``filter_mnd_pruned`` /
+    ``filter_nlf_pruned`` (Algorithm 6's check order); an
+    :class:`ExtendedCandVerify` or any other callable goes through the
+    per-vertex call of :func:`make_counting_verify`.
+    """
+    if verify is None:
+        return list(vertices)
+    if verify is not cand_verify:
+        counted = make_counting_verify(verify, stats)
+        assert counted is not None
+        return [v for v in vertices if counted(query, data, u, v)]
+    mnd_u = query.mnd(u)
+    needs = tuple(query.nlf(u).items())
+    data_mnd, data_nlf = data.mnd, data.nlf
+    kept: List[int] = []
+    mnd_pruned = nlf_pruned = 0
+    for v in vertices:
+        if data_mnd(v) < mnd_u:
+            mnd_pruned += 1
+            continue
+        nlf = data_nlf(v)
+        for lab, needed in needs:
+            if nlf.get(lab, 0) < needed:
+                nlf_pruned += 1
+                break
+        else:
+            kept.append(v)
+    if stats is not None:
+        stats.filter_mnd_pruned += mnd_pruned
+        stats.filter_nlf_pruned += nlf_pruned
+    return kept

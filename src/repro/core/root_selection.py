@@ -9,30 +9,12 @@ light-weight label+degree candidate count, keep the top 3, then recompute
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional
 
 from ..graph.graph import Graph, GraphError
+from .cpi_builder import _root_candidates
 from .filters import cand_verify
-
-
-def _light_candidate_count(query: Graph, data: Graph, u: int) -> int:
-    """|C(u)| using only the label and degree filters."""
-    u_degree = query.degree(u)
-    return sum(
-        1
-        for v in data.vertices_with_label(query.label(u))
-        if data.degree(v) >= u_degree
-    )
-
-
-def _verified_candidate_count(query: Graph, data: Graph, u: int) -> int:
-    """|C(u)| after the full CandVerify (MND + NLF) filtering."""
-    u_degree = query.degree(u)
-    return sum(
-        1
-        for v in data.vertices_with_label(query.label(u))
-        if data.degree(v) >= u_degree and cand_verify(query, data, u, v)
-    )
 
 
 def select_root(
@@ -50,8 +32,19 @@ def select_root(
     if not pool:
         raise GraphError("root selection needs at least one eligible vertex")
 
+    # The light |C(u)| (label + degree filters) is a bisect over the
+    # sorted degrees of u's label class, sorted once per label per call.
+    sorted_degrees: Dict[int, List[int]] = {}
+
     def light_ratio(u: int) -> float:
-        return _light_candidate_count(query, data, u) / max(query.degree(u), 1)
+        label = query.label(u)
+        degrees = sorted_degrees.get(label)
+        if degrees is None:
+            adj = data.adj
+            degrees = sorted([len(adj[v]) for v in data.vertices_with_label(label)])
+            sorted_degrees[label] = degrees
+        light = len(degrees) - bisect_left(degrees, query.degree(u))
+        return light / max(query.degree(u), 1)
 
     pool.sort(key=lambda u: (light_ratio(u), u))
     shortlist = pool[: max(top_k, 1)]
@@ -59,6 +52,7 @@ def select_root(
         return shortlist[0]
 
     def verified_ratio(u: int) -> float:
-        return _verified_candidate_count(query, data, u) / max(query.degree(u), 1)
+        verified = _root_candidates(query, data, u, cand_verify)
+        return len(verified) / max(query.degree(u), 1)
 
     return min(shortlist, key=lambda u: (verified_ratio(u), u))

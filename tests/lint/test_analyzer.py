@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import PARSE_ERROR_RULE, find_root, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -107,15 +109,21 @@ class TestFindRoot:
         assert find_root(Path(__file__).parent) == REPO_ROOT
 
 
+@pytest.fixture(scope="module")
+def repo_report():
+    """One full analyzer run over ``src/repro``, shared by the gate tests."""
+    return lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+
+
 class TestRepoGate:
     """The acceptance gate: the tree this test runs in must be clean."""
 
-    def test_src_repro_has_zero_findings(self):
-        report = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    def test_src_repro_has_zero_findings(self, repo_report):
+        report = repo_report
         assert report.diagnostics == [], report.render()
 
-    def test_core_and_lint_carry_zero_suppressions(self):
-        report = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    def test_core_and_lint_carry_zero_suppressions(self, repo_report):
+        report = repo_report
         sensitive = [
             d
             for d in report.suppressed
