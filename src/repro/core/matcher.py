@@ -778,6 +778,10 @@ class CFLMatch:
             # arrived without one); ranks stay keyed to the original
             # candidate list so shared CSR rows remain valid.
             kernel = self._ensure_kernel(plan).with_root_candidates(filtered)
+            # Decide vectorization on the parent plan, where it is
+            # memoized: a sub-plan is a fresh object, so deciding there
+            # would re-run the breadth DP for every root chunk.
+            self._vector_stages(plan)
         return PreparedQuery(
             query=plan.query,
             decomposition=plan.decomposition,
@@ -823,15 +827,6 @@ class CFLMatch:
                 else list(plan.cpi.candidates[plan.root])
             )
             if len(all_roots) > 1:
-                # Prime the parent plan's memoized kernel compilation and
-                # frontier-vectorization decision before fanning out: the
-                # per-root sub-plans are fresh PreparedQuery objects, so
-                # anything not cached here would be recomputed once per
-                # root candidate (the vectorization DP alone walks the
-                # whole CPI).
-                if self.engine == "kernel":
-                    self._ensure_kernel(plan)
-                    self._vector_stages(plan)
                 if split_stats:
                     def node_count() -> int:
                         return (

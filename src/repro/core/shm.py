@@ -14,9 +14,12 @@ copies:
   Workers (fork *and* spawn) attach by name and get a
   :class:`SharedGraph`: a :class:`~repro.graph.graph.Graph` whose rows
   are ``memoryview`` slices of the segment — zero copies, one
-  materialization per host.  The identical byte layout serialized to a
-  file (``cfl-match ingest``) is attached via ``mmap`` instead: load
-  once, map forever.
+  materialization per host.  Only the neighbour *sets* are per-process:
+  each is a ``frozenset`` built from its row the first time the process
+  probes it, because membership tests and set intersections on the
+  kernel's hottest paths need C-level sets.  The identical byte layout
+  serialized to a file (``cfl-match ingest``) is attached via ``mmap``
+  instead: load once, map forever.
 * :func:`plan_sections` / :func:`decode_plan_segment` ship a prepared
   plan (CPI candidate sets, per-tree-edge adjacency, matching orders,
   and the compiled kernel stages) as contiguous int32 sections in a
@@ -32,8 +35,8 @@ Layout (all sections native int32, same-host only)::
     section_0 ... section_{k-1}                      payload
 
 Lifecycle discipline: segments are owned explicitly, not by the
-``resource_tracker`` (see :class:`_Segment` for why tracking is
-disabled).  The *creator* must call :meth:`~SharedGraphStore.unlink`
+``resource_tracker`` (see :class:`_Segment` for why it is never
+told about them).  The *creator* must call :meth:`~SharedGraphStore.unlink`
 on every exit path — ``unlink`` removes the ``/dev/shm`` name
 immediately while POSIX keeps live mappings valid, so attached workers
 are never interrupted.  *Attachers* only ever ``close``.  ``close`` is
@@ -48,10 +51,8 @@ from __future__ import annotations
 import mmap
 import os
 from array import array
-from bisect import bisect_left
-from collections.abc import Set as SetBase
 from itertools import count
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 try:  # CPython's POSIX shm syscalls; absent only on non-POSIX builds.
     import _posixshmem  # type: ignore[import-not-found]
@@ -136,54 +137,55 @@ def _segment_name() -> str:
     )
 
 
-class _Segment(shared_memory.SharedMemory):
-    """``SharedMemory`` with a deterministic, tracker-free lifecycle.
+class _Segment:
+    """A named POSIX shared-memory segment the ``resource_tracker`` never
+    sees.
 
-    Python 3.11 registers every segment with the ``resource_tracker`` on
-    attach as well as on create, and the tracker's cache is a *set of
-    names shared by the whole process tree* — so an attacher's cleanup
-    deletes the creator's entry, the creator's ``unlink`` then
-    unregisters a name the tracker no longer knows, and the tracker
-    prints ``KeyError`` tracebacks.  Segment lifetime here is owned
-    explicitly (create/attach/close/unlink threaded through pool
-    shutdown and dispatcher cancellation), so we opt out of tracking
-    entirely: every construction immediately unregisters, and
-    :meth:`unlink` calls ``shm_unlink`` directly instead of the stock
-    implementation's unlink-plus-unregister.
+    Python 3.11's ``SharedMemory`` registers a segment with the tracker
+    on attach as well as on create.  Forked workers share their parent's
+    tracker, whose cache is one *set* of names, so two workers attaching
+    the same segment at once can send REGISTER, REGISTER, UNREGISTER,
+    UNREGISTER, and the second UNREGISTER raises ``KeyError`` inside the
+    tracker.  Segment lifetime here is owned explicitly (create, attach,
+    close and unlink are threaded through pool shutdown and dispatcher
+    cancellation), so this class opens, sizes and maps the segment with
+    the raw syscalls and never sends the tracker anything.
 
-    The finalizer also tolerates exported views: plans hold memoryview
-    slices of the segment for their whole life, and if the interpreter
-    tears the segment down first the stock ``__del__`` raises
-    ``BufferError`` into ``sys.stderr`` ("Exception ignored in ...").
-    The mapping is reclaimed by the OS at process exit either way, and
-    the leak tests treat *any* stderr warning as a failure.
+    Only the creator unlinks.  ``close`` may raise ``BufferError`` while
+    plans still hold memoryview slices of ``buf``; the mapping then lives
+    until the last slice is dropped, or until the process exits.
     """
 
-    def __init__(self, name: Optional[str] = None, create: bool = False,
-                 size: int = 0) -> None:
-        super().__init__(name=name, create=create, size=size)
+    __slots__ = ("name", "buf", "_mmap")
+
+    def __init__(self, name: str, create: bool = False, size: int = 0) -> None:
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
         try:
-            resource_tracker.unregister(
-                getattr(self, "_name", "/" + self.name), "shared_memory"
-            )
-        except Exception:  # pragma: no cover - tracker may be absent
-            pass
+            if create:
+                os.ftruncate(fd, size)
+            mapped = mmap.mmap(fd, os.fstat(fd).st_size)
+        except BaseException:
+            if create:
+                _posixshmem.shm_unlink("/" + name)
+            raise
+        finally:
+            os.close(fd)
+        self.name = name
+        self._mmap = mapped
+        self.buf = memoryview(mapped)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
 
     def unlink(self) -> None:
-        posix_name = getattr(self, "_name", None)
-        if _posixshmem is not None and posix_name:
-            try:
-                _posixshmem.shm_unlink(posix_name)
-            except FileNotFoundError:
-                pass
-        else:  # pragma: no cover - non-POSIX platforms
-            super().unlink()
+        _posixshmem.shm_unlink("/" + self.name)
 
-    def __del__(self) -> None:
-        try:
-            super().__del__()
-        except BufferError:
-            pass
+
+if _posixshmem is None:  # pragma: no cover - non-POSIX platforms
+    # Elsewhere ``SharedMemory`` never registers with the tracker.
+    _Segment = shared_memory.SharedMemory  # type: ignore[misc,assignment]  # noqa: F811
 
 
 # ----------------------------------------------------------------------
@@ -405,62 +407,33 @@ class _Rows:
             yield self[v]
 
 
-class _RowSet(SetBase):
-    """Set facade over one sorted row: bisect membership, zero copies.
-
-    ``collections.abc.Set`` supplies the operators (including the
-    reflected forms, so ``frozenset & row_set`` works); results of set
-    algebra materialize as ``frozenset`` via ``_from_iterable``.
-    """
-
-    __slots__ = ("_row",)
-
-    def __init__(self, row: Sequence[int]) -> None:
-        self._row = row
-
-    def __contains__(self, value: object) -> bool:
-        if not isinstance(value, int):
-            return False
-        row = self._row
-        index = bisect_left(row, value)
-        return index < len(row) and row[index] == value
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._row)
-
-    def __len__(self) -> int:
-        return len(self._row)
-
-    def __hash__(self) -> int:
-        return self._hash()
-
-    @classmethod
-    def _from_iterable(cls, iterable: object) -> FrozenSet[int]:
-        return frozenset(iterable)  # type: ignore[arg-type]
-
-
 class _RowSets:
-    """Per-vertex :class:`_RowSet` wrappers over the CSR (cached)."""
+    """Per-vertex neighbour sets, each a ``frozenset`` built from its CSR row
+    on first use and cached.
+
+    The sets are the one per-process copy of the adjacency: the kernel's
+    backward edge checks and intersections run on them, and a C-level
+    ``frozenset`` keeps those probes at in-process ``Graph`` speed.
+    Only the rows a process touches are ever copied.
+    """
 
     __slots__ = ("_rows", "_cache")
 
     def __init__(self, rows: _Rows) -> None:
         self._rows = rows
-        self._cache: List[Optional[_RowSet]] = [None] * len(rows)
+        self._cache: List[Optional[FrozenSet[int]]] = [None] * len(rows)
 
     def __len__(self) -> int:
         return len(self._cache)
 
-    def __getitem__(self, v: int) -> _RowSet:
+    def __getitem__(self, v: int) -> FrozenSet[int]:
         row_set = self._cache[v]
         if row_set is None:
-            if v < 0:
-                raise IndexError(v)
-            row_set = _RowSet(self._rows[v])
+            row_set = frozenset(self._rows[v])
             self._cache[v] = row_set
         return row_set
 
-    def __iter__(self) -> Iterator[_RowSet]:
+    def __iter__(self) -> Iterator[FrozenSet[int]]:
         for v in range(len(self._cache)):
             yield self[v]
 
@@ -473,8 +446,11 @@ class SharedGraph(Graph):
 
     Construction never copies the CSR payload: ``labels``, adjacency
     rows, the label index, NLF tables and MND are read through
-    memoryview slices.  The instance keeps the backing segment (or
-    mmap) alive via ``_resources``; it is immutable like every Graph.
+    memoryview slices.  Neighbour sets (:meth:`neighbor_set`,
+    :meth:`has_edge`, the kernel's backward checks) are per-process
+    ``frozenset`` copies of the rows, built on first use.  The instance
+    keeps the backing segment (or mmap) alive via ``_resources``; it is
+    immutable like every Graph.
     """
 
     __slots__ = (
@@ -593,7 +569,7 @@ class SharedGraphStore:
     def __init__(
         self,
         graph: SharedGraph,
-        segment: Optional[shared_memory.SharedMemory],
+        segment: Optional[_Segment],
         mapped: Optional[mmap.mmap],
         owner: bool,
     ) -> None:
@@ -680,7 +656,7 @@ class SharedGraphStore:
         self.close()
 
 
-def _create_segment(nbytes: int, name: Optional[str]) -> shared_memory.SharedMemory:
+def _create_segment(nbytes: int, name: Optional[str]) -> _Segment:
     if name is not None:
         return _Segment(name=name, create=True, size=nbytes)
     while True:
@@ -971,7 +947,7 @@ class PlanSegment:
     __slots__ = ("_segment", "_owner", "_unlinked")
 
     def __init__(
-        self, segment: shared_memory.SharedMemory, owner: bool
+        self, segment: _Segment, owner: bool
     ) -> None:
         self._segment = segment
         self._owner = owner

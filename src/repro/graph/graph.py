@@ -65,9 +65,9 @@ class Graph:
     # Storage is annotated with read-only protocols rather than the
     # concrete list/set types this constructor builds: the shared-memory
     # subclass (:class:`repro.core.shm.SharedGraph`) fills the same
-    # slots with zero-copy memoryview rows and bisect-backed set
-    # facades.  Consumers may only rely on Sequence/AbstractSet
-    # operations — which is also the immutability story (PR 2).
+    # slots with zero-copy memoryview rows and lazily built frozensets.
+    # Consumers may only rely on Sequence/AbstractSet operations, which
+    # is also the immutability story.
     def __init__(self, labels: Sequence[int], edges: Iterable[Tuple[int, int]]) -> None:
         self.labels: Sequence[int] = list(labels)
         n = len(self.labels)
@@ -135,7 +135,7 @@ class Graph:
         return self.adj[v]
 
     def neighbor_set(self, v: int) -> AbstractSet[int]:
-        """Neighbor set of ``v`` for O(1)/O(log deg) membership tests."""
+        """Neighbor set of ``v`` for O(1) membership tests."""
         return self._adj_sets[v]
 
     def degree(self, v: int) -> int:

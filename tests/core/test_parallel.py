@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import repro.core.matcher as matcher_module
 from repro.core import CFLMatch, estimate_root_costs
 from repro.core.parallel import (
     MatcherPool,
@@ -184,6 +185,31 @@ class TestRootRestriction:
             matcher.count(ex.query, root_candidates=[v]) for v in roots
         )
         assert total == 10
+
+    def test_vectorization_decided_once_per_plan(self, monkeypatch):
+        """Root chunks share the parent plan's memoized vectorization
+        decision instead of re-running the breadth DP per chunk."""
+        case = generate_case(11, 0, WorkloadSpec(scenarios=("dense",)))
+        matcher = CFLMatch(case.data)
+        plan = matcher.prepare(case.query)
+        expected = CFLMatch(case.data).count(case.query)
+        roots = list(plan.cpi.candidates[plan.root])
+        assert len(roots) >= 8
+        calls = []
+        estimate = matcher_module.estimate_tree_embeddings
+
+        def counted(*args):
+            calls.append(args)
+            return estimate(*args)
+
+        monkeypatch.setattr(matcher_module, "estimate_tree_embeddings", counted)
+        total = sum(
+            matcher.count(case.query, prepared=plan, root_candidates=chunk)
+            for chunk in _chunks(roots, 8)
+        )
+        assert total == expected
+        stages = bool(plan.core_order) + bool(plan.forest_order)
+        assert 0 < len(calls) <= stages
 
     def test_restriction_shares_structure(self):
         """with_root_candidates must not copy non-root candidate sets."""

@@ -23,6 +23,7 @@ import sys
 from array import array
 from collections import Counter
 from contextlib import contextmanager
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from repro.core.shm import (
     SEGMENT_PREFIX,
     SharedGraph,
     SharedGraphStore,
+    _Segment,
     attach_graph_store,
     attach_plan_segment,
     graph_sections,
@@ -245,6 +247,31 @@ class TestSharedGraphStore:
                 for v in data.vertices():
                     assert shared.nlf(v) == data.nlf(v)
                     assert shared.mnd(v) == data.mnd(v)
+
+    def test_neighbor_sets_are_frozensets_matching_graph(self, rng, tmp_path):
+        """Attached and mmap'd graphs hand the kernel real frozensets
+        (C-level membership and intersection), equal to the in-process
+        graph's sets, and ``has_edge`` agrees on every vertex pair."""
+        data, _ = random_instance(rng)
+        csr_path = tmp_path / "data.csr"
+        write_graph_csr(data, csr_path)
+        with SharedGraphStore.create(data) as store:
+            attached = attach_graph_store(store.worker_handle())
+            file_store = open_graph_file(csr_path)
+            try:
+                for shared in (attached.graph, file_store.graph):
+                    answers = set()
+                    for v in data.vertices():
+                        assert type(shared.neighbor_set(v)) is frozenset
+                        assert shared.neighbor_set(v) == data.neighbor_set(v)
+                        for w in data.vertices():
+                            answer = shared.has_edge(v, w)
+                            assert answer == data.has_edge(v, w)
+                            answers.add(answer)
+                    assert answers == {True, False}
+            finally:
+                attached.close()
+                file_store.close()
 
     def test_rows_are_read_only_zero_copy_views(self):
         ex = figure1_example(6, 6)
@@ -521,6 +548,28 @@ class TestSegmentLifecycle:
         finally:
             store.unlink()
             store.close()
+
+    def test_segment_never_talks_to_resource_tracker(self, monkeypatch):
+        """Create, attach, close and unlink send the tracker nothing: its
+        per-type name set is shared by forked workers, so concurrent
+        attach-side REGISTER/UNREGISTER pairs raise ``KeyError`` there."""
+        calls = []
+        monkeypatch.setattr(
+            resource_tracker, "register", lambda *args: calls.append(args)
+        )
+        monkeypatch.setattr(
+            resource_tracker, "unregister", lambda *args: calls.append(args)
+        )
+        created = _Segment(f"{SEGMENT_PREFIX}tracker-test", create=True, size=64)
+        try:
+            created.buf[:4] = MAGIC_BYTES
+            attached = _Segment(created.name)
+            assert bytes(attached.buf[:4]) == MAGIC_BYTES
+            attached.close()
+        finally:
+            created.close()
+            created.unlink()
+        assert calls == []
 
     def test_no_resource_tracker_warnings_in_subprocess(self):
         """A full create/attach/search/close cycle in a fresh interpreter
