@@ -42,22 +42,15 @@ def _cmd_match(args: argparse.Namespace) -> int:
         from .core.parallel import parallel_search_iter
 
         embeddings = parallel_search_iter(
-            data, query, workers=workers, limit=args.limit, engine=args.engine,
-            adaptive=args.adaptive,
+            data, query, workers=workers, limit=args.limit, engine=args.engine
         )
     else:
         if args.algorithm == "CFL-Match":
-            matcher = CFLMatch(data, engine=args.engine, adaptive=args.adaptive)
+            matcher = CFLMatch(data, engine=args.engine)
         else:
             if args.engine != "kernel":
                 print(
                     f"error: --engine applies to CFL-Match, not {args.algorithm}",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.adaptive:
-                print(
-                    f"error: --adaptive applies to CFL-Match, not {args.algorithm}",
                     file=sys.stderr,
                 )
                 return 2
@@ -82,12 +75,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
         total = parallel_count(
             data, query, workers=args.workers, limit=args.limit,
-            engine=args.engine, adaptive=args.adaptive,
+            engine=args.engine,
         )
     else:
-        total = CFLMatch(data, engine=args.engine, adaptive=args.adaptive).count(
-            query, limit=args.limit
-        )
+        total = CFLMatch(data, engine=args.engine).count(query, limit=args.limit)
     elapsed = time.perf_counter() - started
     suffix = "+" if args.limit is not None and total >= args.limit else ""
     print(f"{total}{suffix} embedding(s) in {1000 * elapsed:.1f} ms")
@@ -231,7 +222,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     data = load_graph(args.data)
     query = load_graph(args.query)
-    matcher = CFLMatch(data, adaptive=args.adaptive)
+    matcher = CFLMatch(data)
     prepared = matcher.prepare(query)
     report = None
     if args.execute:
@@ -254,7 +245,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if report is not None:
             payload["status"] = report.status
             payload["embeddings"] = report.embeddings
-            payload["adaptive_replans"] = report.stats.adaptive_replans
         print(json.dumps(payload, indent=2))
         return 0
     print(explain(matcher, query))
@@ -280,7 +270,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         time_limit_s=args.time_limit,
         count_only=not args.enumerate,
         engine=args.engine,
-        adaptive=args.adaptive,
     )
     if args.out:
         Path(args.out).write_text(json.dumps(profile, indent=2) + "\n")
@@ -516,11 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CFL-Match enumeration engine: compiled flat-array kernel "
              "(default) or the reference backtracker",
     )
-    p_match.add_argument(
-        "--adaptive", action="store_true",
-        help="re-plan the matching-order suffix mid-search when actual "
-             "breadth blows past the cost-model estimate (CFL-Match only)",
-    )
     p_match.set_defaults(func=_cmd_match)
 
     p_count = sub.add_parser("count", help="count embeddings (leaf permutations not expanded)")
@@ -535,11 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="kernel", choices=ENGINES,
         help="enumeration engine: compiled flat-array kernel (default) "
              "or the reference backtracker",
-    )
-    p_count.add_argument(
-        "--adaptive", action="store_true",
-        help="re-plan the matching-order suffix mid-search when actual "
-             "breadth blows past the cost-model estimate",
     )
     p_count.set_defaults(func=_cmd_count)
 
@@ -640,10 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the plan summary and breadth rows as JSON",
     )
     p_explain.add_argument(
-        "--adaptive", action="store_true",
-        help="enable mid-search re-planning during --execute",
-    )
-    p_explain.add_argument(
         "--max-expansions", type=int, default=None,
         help="work budget for --execute (partial rows are flagged)",
     )
@@ -690,12 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumeration engine: compiled flat-array kernel (default) "
              "or the reference backtracker (recorded in the profile's "
              "run section)",
-    )
-    p_profile.add_argument(
-        "--adaptive", action="store_true",
-        help="re-plan the matching-order suffix mid-search when actual "
-             "breadth blows past the cost-model estimate "
-             "(adaptive_replans counts re-plans)",
     )
     p_profile.set_defaults(func=_cmd_profile)
 

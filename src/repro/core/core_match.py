@@ -99,15 +99,6 @@ def build_ordered_vertices(
     return result
 
 
-#: Per-depth cap on CEMR dead-signature memo entries (shared with the
-#: kernel engine).  Adversarial orders can visit millions of distinct
-#: dead signatures that never repeat; unbounded insertion then costs
-#: more than the work it would save.  Hits on already-recorded
-#: signatures are unaffected by the cap, so counters stay bit-identical
-#: — the cap only bounds the bookkeeping.
-_CEMR_MEMO_CAP = 1 << 16
-
-
 class CPIBacktracker:
     """Iterative backtracking over one stage's matching order."""
 
@@ -118,24 +109,12 @@ class CPIBacktracker:
         stats: Optional[SearchStats] = None,
         deadline: Optional[float] = None,
         budget: Optional[WorkBudget] = None,
-        cemr: bool = False,
     ):
         self.cpi = cpi
         self.ordered = list(ordered)
         self.stats = stats if stats is not None else SearchStats()
         self.deadline = deadline
         self.budget = budget
-        #: CEMR-style redundant-extension elimination: memoize extension
-        #: sets proven dead (every candidate failed ValidateNT with no
-        #: injectivity conflict and no acceptance) keyed by the slot's
-        #: pruned-parent signature, so sibling subtrees that reach the
-        #: same signature skip the intersection.  A hit replays the
-        #: sweep's counter attribution candidate-by-candidate (occupied
-        #: -> injectivity conflict, else the deterministic ValidateNT
-        #: failure) without the set probes, so every counter except
-        #: ``cemr_memo_hits`` stays bit-identical even when the
-        #: occupancy of the candidates differs between visits.
-        self.cemr = cemr
 
     def extend(self, mapping: List[int], used: bytearray) -> Iterator[None]:
         """Yield once per complete assignment of this stage's vertices.
@@ -157,47 +136,9 @@ class CPIBacktracker:
         adjacency = cpi.adjacency
         stats = self.stats
         budget = self.budget
-        cemr = self.cemr
-        # CEMR bookkeeping (one extend call's lifetime): per-depth dead
-        # memo, plus per-depth-visit tracking of whether the sweep stayed
-        # "clean" (no injectivity conflict, no acceptance) so exhaustion
-        # proves the extension set dead independent of ``used``.
-        dead_memo: List[dict] = [{} for _ in range(k)] if cemr else []
-        memo_keys: List[Optional[tuple]] = [None] * k
-        clean: List[bool] = [False] * k
-
-        def slot_iter(d: int) -> Iterator[int]:
-            slot = ordered[d]
-            source = self._slot_candidates(slot, mapping, candidates, adjacency)
-            if cemr and slot.backward_neighbors:
-                parent = slot.tree_parent
-                key = (
-                    mapping[parent] if parent is not None else -1,
-                    tuple(mapping[w] for w in slot.backward_neighbors),
-                )
-                if key in dead_memo[d]:
-                    stats.cemr_memo_hits += 1
-                    # The key pins the parent image, so ``source`` is the
-                    # same list the recording sweep saw; replay its
-                    # attribution without the ValidateNT set probes.  An
-                    # occupied candidate is what the plain run rejects as
-                    # an injectivity conflict *before* probing; the rest
-                    # re-fail the deterministic backward check.
-                    for v in source:
-                        if used[v]:
-                            stats.injectivity_conflicts += 1
-                        else:
-                            stats.edge_check_failures += 1
-                    memo_keys[d] = None
-                    return iter(())
-                memo_keys[d] = key
-                clean[d] = True
-            else:
-                memo_keys[d] = None
-            return iter(source)
 
         iterators: List[Optional[Iterator[int]]] = [None] * k
-        iterators[0] = slot_iter(0)
+        iterators[0] = iter(self._slot_candidates(ordered[0], mapping, candidates, adjacency))
         depth = 0
         while depth >= 0:
             slot = ordered[depth]
@@ -213,8 +154,6 @@ class CPIBacktracker:
             for v in iterator:
                 if used[v]:
                     stats.injectivity_conflicts += 1
-                    if cemr:
-                        clean[depth] = False
                     continue
                 if backward:
                     ok = True
@@ -228,8 +167,6 @@ class CPIBacktracker:
                 if budget is not None:
                     budget.charge()
                 stats.nodes += 1
-                if cemr:
-                    clean[depth] = False
                 if (
                     self.deadline is not None
                     and (stats.nodes & 1023) == 0
@@ -244,17 +181,13 @@ class CPIBacktracker:
                     mapping[u] = -1
                     continue
                 depth += 1
-                iterators[depth] = slot_iter(depth)
+                iterators[depth] = iter(
+                    self._slot_candidates(ordered[depth], mapping, candidates, adjacency)
+                )
                 descended = True
                 break
             if descended:
                 continue
-            if cemr and clean[depth] and memo_keys[depth] is not None:
-                # Every candidate failed ValidateNT deterministically (no
-                # acceptance, no used-dependent rejection): this extension
-                # signature is dead for the rest of the call.
-                if len(dead_memo[depth]) < _CEMR_MEMO_CAP:
-                    dead_memo[depth][memo_keys[depth]] = True
             depth -= 1
             if depth >= 0:
                 stats.backtracks += 1

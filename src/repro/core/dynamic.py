@@ -141,7 +141,6 @@ def _repair_sweep(
     dirty: Optional[FrozenSet[int]],
     prev: Optional[RepairState],
     stats: SearchStats,
-    verify=cand_verify,
     deadline: Optional[float] = None,
 ) -> Tuple[CPI, RepairState]:
     """One memoized top-down + bottom-up sweep (Algorithms 3 and 4).
@@ -159,13 +158,6 @@ def _repair_sweep(
     otherwise the previous value is reused, which is sound because the
     unit's computation is a pure function of those inputs.  Per-filter
     prune counters therefore count only recomputed work on repairs.
-
-    ``verify`` must match the owning matcher's filter stack (see
-    :meth:`~repro.core.matcher.CFLMatch.cand_verify_for`) and — for an
-    :class:`~repro.core.filters.ExtendedCandVerify` — be constructed
-    fresh against the *current* graph state at every sweep: its
-    precomputed label-pair/NLI tables are snapshots, and a stale
-    snapshot could reject candidates the NLF filter accepts.
     """
     if prev is not None:
         tree = prev.tree
@@ -190,7 +182,7 @@ def _repair_sweep(
 
     # ---- Root candidates (Algorithm 3, lines 1-2) ----
     if prev is None or label_dirty(root):
-        forward[root] = _root_candidates(query, data, root, verify, stats)
+        forward[root] = _root_candidates(query, data, root, cand_verify, stats)
         forward_changed[root] = prev is None or forward[root] != prev.forward[root]
     else:
         forward[root] = prev.forward[root]
@@ -225,7 +217,7 @@ def _repair_sweep(
                 u_cands = _forward_candidates(
                     query, data, u,
                     _sources(query, data, u, sources, read_value),
-                    verify, stats,
+                    cand_verify, stats,
                 )
                 forward[u] = u_cands
                 forward_changed[u] = prev is None or u_cands != prev.forward[u]
@@ -405,8 +397,8 @@ class IncrementalMatcher:
         self.rebuild_threshold = rebuild_threshold
         # plan_cache_size=0: this class owns plan reuse through its
         # registrations, so the inner matcher keeps no plans of its own.
-        # ``matcher_kwargs`` forwards optimizer knobs (filter toggles,
-        # cemr, adaptive) so dynamic matching honors them too.
+        # ``matcher_kwargs`` forwards the other CFLMatch knobs
+        # (e.g. the vector settings) so dynamic matching honors them.
         self._matcher = CFLMatch(
             data, mode=mode, engine=engine, plan_cache_size=0,
             **matcher_kwargs,
@@ -448,8 +440,7 @@ class IncrementalMatcher:
         phase_times["decomposition"] = monotonic_now() - started
         cpi_started = monotonic_now()
         cpi, state = _repair_sweep(
-            query, self.data, root, None, None, build_stats,
-            verify=self._matcher.cand_verify_for(query),
+            query, self.data, root, None, None, build_stats
         )
         phase_times["cpi_build"] = monotonic_now() - cpi_started
         prepared = self._matcher._assemble_plan(
@@ -515,8 +506,7 @@ class IncrementalMatcher:
             return
         stats = reg.build_stats
         cpi, state = _repair_sweep(
-            query, data, root, frozenset(dirty), reg.state, stats,
-            verify=self._matcher.cand_verify_for(query),
+            query, data, root, frozenset(dirty), reg.state, stats
         )
         stats.cpi_repairs += 1
         stats.dirty_region_size += len(region)
@@ -546,8 +536,7 @@ class IncrementalMatcher:
         phase_times["decomposition"] = monotonic_now() - build_started
         cpi_started = monotonic_now()
         cpi, state = _repair_sweep(
-            query, self.data, root, None, None, stats,
-            verify=self._matcher.cand_verify_for(query),
+            query, self.data, root, None, None, stats
         )
         phase_times["cpi_build"] = monotonic_now() - cpi_started
         prepared = self._matcher._assemble_plan(

@@ -81,7 +81,7 @@ except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
 from ..graph.graph import Graph
-from .core_match import _CEMR_MEMO_CAP, OrderedVertex, SearchTimeout
+from .core_match import OrderedVertex, SearchTimeout
 from .cpi import CPI
 from .stats import SearchStats, WorkBudget, monotonic_now
 
@@ -605,25 +605,11 @@ class KernelBacktracker:
         budget: Optional[WorkBudget] = None,
         vectorize: bool = False,
         vector_min_row: int = 64,
-        cemr: bool = False,
     ) -> None:
         self.stage = stage
         self.stats = stats if stats is not None else SearchStats()
         self.deadline = deadline
         self.budget = budget
-        #: CEMR-style redundant-extension elimination on the eager
-        #: backward-intersection path: an intersection computed from
-        #: (parent image, backward images) alone that yields *zero*
-        #: survivors is memoized, and later descends reaching the same
-        #: signature skip the intersection, re-charging the memoized
-        #: ``edge_check_failures`` delta so every other counter stays
-        #: bit-identical.  Complements the consecutive-descend stream
-        #: cache (``_cache_dep``), which only survives while the
-        #: dependency assignments are literally unchanged.  The hit
-        #: counter is engine-specific: the reference engine memoizes
-        #: clean exhausted sweeps instead, so ``cemr_memo_hits`` is not
-        #: compared across engines.
-        self.cemr = cemr
         self._adj_indptr = kernel_plan.adj_indptr
         self._adj_flat = kernel_plan.adj_flat
         self._adj_sets = kernel_plan.adj_sets
@@ -837,17 +823,6 @@ class KernelBacktracker:
         set_rows = stage.set_rows
         rank_of = stage.rank_of
         backward = stage.backward
-        cemr = self.cemr
-        n_data = len(adj_sets)
-        # Per-depth memo of dead eager intersections (one extend call's
-        # lifetime).  The key encodes (parent image, backward images):
-        # a single composite int ``parent * n_data + image`` when the
-        # depth has exactly one backward edge (no per-visit tuple
-        # allocation on the common shape), a nested tuple otherwise —
-        # per depth the backward list is fixed, so shapes never mix.
-        dead_memo: List[Dict[object, int]] = (
-            [{} for _ in range(k)] if cemr else []
-        )
 
         nodes = stats.nodes
         enter = self._enter
@@ -925,37 +900,9 @@ class KernelBacktracker:
                         if eliminated:
                             stats.edge_check_failures += eliminated
                         break
-                    parent_image = mapping[parent_vertices[depth]]
-                    if cemr and dead_memo[depth]:
-                        # Probe only once this depth has recorded a dead
-                        # signature (the dict starts empty, so clean
-                        # workloads pay one truthiness check per visit).
-                        # Per depth the backward list is fixed, so the
-                        # cheap 2-int key for the single-backward-edge
-                        # case never collides with the tuple form.
-                        bw = backward[depth]
-                        memo_key = (
-                            parent_image * n_data + mapping[bw[0]]
-                            if len(bw) == 1
-                            else (
-                                parent_image,
-                                tuple(mapping[w] for w in bw),
-                            )
-                        )
-                        memoized = dead_memo[depth].get(memo_key)
-                        if memoized is not None:
-                            stats.cemr_memo_hits += 1
-                            if memoized:
-                                stats.edge_check_failures += memoized
-                            pos[depth] = 0
-                            end[depth] = 0
-                            if dep >= 0:
-                                cache_stamp[depth] = stamp[dep]
-                                cache_v[depth] = _EMPTY_ROW
-                                cache_end[depth] = 0
-                                cache_elim[depth] = memoized
-                            break
-                    row_set = set_rows[depth].get(parent_image)
+                    row_set = set_rows[depth].get(
+                        mapping[parent_vertices[depth]]
+                    )
                     if row_set is None:
                         pos[depth] = 0
                         end[depth] = 0
@@ -999,23 +946,6 @@ class KernelBacktracker:
                             cache_r[depth] = stream_r[depth]
                         cache_end[depth] = end[depth]
                         cache_elim[depth] = eliminated
-                    if cemr and end[depth] == 0:
-                        # Zero survivors from a used-independent eager
-                        # intersection: this signature is dead for the
-                        # rest of the call.  The key is rebuilt here
-                        # because the probe above is skipped while the
-                        # depth's memo is still empty.
-                        memo_d = dead_memo[depth]
-                        if len(memo_d) < _CEMR_MEMO_CAP:
-                            bw = backward[depth]
-                            memo_d[
-                                parent_image * n_data + mapping[bw[0]]
-                                if len(bw) == 1
-                                else (
-                                    parent_image,
-                                    tuple(mapping[w] for w in bw),
-                                )
-                            ] = eliminated
                 elif kind == _KIND_ROOT:
                     pos[depth] = 0
                     end[depth] = base_len[depth]

@@ -39,7 +39,7 @@ from .core_match import (
 from .cpi import CPI
 from .cpi_builder import _record_build_totals, build_cpi, build_naive_cpi
 from .decomposition import CFLDecomposition, cfl_decompose
-from .filters import ExtendedCandVerify, cand_verify
+from .filters import cand_verify
 from .kernel import KernelBacktracker, KernelPlan, build_data_csr, compile_kernel_plan
 from .leaf_match import LeafPlan, build_leaf_plan, count_leaf_matches, enumerate_leaf_matches
 from .ordering import estimate_tree_embeddings, order_structure
@@ -51,18 +51,9 @@ from .stats import (
     empty_phase_times,
 )
 
-#: Upper bound on adaptive trigger checkpoints per search: the root
-#: candidates are split into at most this many chunks, and the
-#: re-planning trigger is evaluated between chunks.  Each chunk costs a
-#: root-restricted sub-plan plus backtracker setup, so the bound keeps
-#: the adaptive mode's overhead on well-ordered plans flat in the root
-#: count while still giving a mis-ordered search 15 chances to bail.
-_ADAPTIVE_CHECKPOINTS = 16
-
 MODES = ("cfl", "cf", "match")
 CPI_MODES = ("full", "td", "naive")
 CORE_STRATEGIES = ("paths", "hierarchical")
-CPI_IMPLS = ("python", "numpy")
 #: Enumeration engines: ``"kernel"`` runs the compiled flat-array loop of
 #: :mod:`repro.core.kernel`; ``"reference"`` runs the readable
 #: :class:`~repro.core.core_match.CPIBacktracker`, kept as the
@@ -109,11 +100,6 @@ class PreparedQuery:
     #: recomputed when a matcher with a different threshold reuses the
     #: plan (see ``CFLMatch._vector_stages``).
     vector_stages: Optional[Tuple[int, bool, bool]] = None
-    #: memoized core+forest tree-embedding estimate (the adaptive
-    #: trigger's baseline; see ``CFLMatch._breadth_estimate``) — the DP
-    #: walks the whole CPI, so serving workloads that re-run the same
-    #: plan must not pay it per search.
-    breadth_estimate: Optional[int] = None
 
     @property
     def matching_order(self) -> List[int]:
@@ -193,9 +179,6 @@ class CFLMatch:
         ``"paths"`` (Algorithm 2, the paper's ordering) or
         ``"hierarchical"`` (the Section 7 future-work extension: match
         deeper k-core shells of the core first).
-    cpi_impl:
-        ``"python"`` (reference implementation) or ``"numpy"``
-        (vectorized builder; identical output, faster on medium graphs).
     engine:
         ``"kernel"`` (default) enumerates with the compiled flat-array
         loop of :mod:`repro.core.kernel`; ``"reference"`` keeps the
@@ -219,30 +202,6 @@ class CFLMatch:
         serving pre-intersected label-pair adjacency rows to CPI
         construction (``None`` — the default — builds from the raw
         graph).  The built CPI is identical either way.
-    label_pair_filter / nli_filter:
-        optimizer round-2 pre-checks ahead of CandVerify during CPI
-        construction (:class:`~repro.core.filters.ExtendedCandVerify`).
-        Both are pruning-only subsets of the NLF filter, so the built
-        CPI — and therefore every downstream result and counter except
-        the per-filter attribution split — is identical with them on or
-        off.
-    cemr:
-        redundant-extension elimination in the enumeration engines:
-        extension sets proven dead independent of occupancy are
-        memoized per search and skipped on repeat, with the sweep's
-        rejection attribution replayed on each hit so every counter
-        except ``cemr_memo_hits`` stays bit-identical.
-    adaptive / adaptive_ratio / adaptive_min_nodes:
-        mid-search re-planning.  With ``adaptive=True`` the root
-        candidates are enumerated one at a time (a pure partition of
-        the result set — same embeddings, same order, same counters);
-        when the accumulated search nodes exceed
-        ``max(adaptive_min_nodes, adaptive_ratio * estimated_breadth)``
-        the matching-order suffix for the *remaining* roots is
-        re-planned against the restricted CPI (Algorithm 2 re-run on
-        the surviving root candidates) and enumeration resumes —
-        embeddings already emitted are kept.  At most one re-plan per
-        search; ``adaptive_replans`` counts it.
     """
 
     name = "CFL-Match"
@@ -253,19 +212,12 @@ class CFLMatch:
         mode: str = "cfl",
         cpi_mode: str = "full",
         core_strategy: str = "paths",
-        cpi_impl: str = "python",
         engine: str = "kernel",
         plan_cache_size: int = 16,
         vector_mode: str = "auto",
         vector_breadth: int = 4096,
         vector_min_row: int = 64,
         aux_cache: Optional["AuxAdjacencyCache"] = None,
-        label_pair_filter: bool = False,
-        nli_filter: bool = False,
-        cemr: bool = False,
-        adaptive: bool = False,
-        adaptive_ratio: float = 8.0,
-        adaptive_min_nodes: int = 1024,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -273,8 +225,6 @@ class CFLMatch:
             raise ValueError(f"cpi_mode must be one of {CPI_MODES}")
         if core_strategy not in CORE_STRATEGIES:
             raise ValueError(f"core_strategy must be one of {CORE_STRATEGIES}")
-        if cpi_impl not in CPI_IMPLS:
-            raise ValueError(f"cpi_impl must be one of {CPI_IMPLS}")
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         if plan_cache_size < 0:
@@ -285,27 +235,16 @@ class CFLMatch:
             raise ValueError("vector_breadth must be >= 0")
         if vector_min_row < 1:
             raise ValueError("vector_min_row must be >= 1")
-        if adaptive_ratio <= 0:
-            raise ValueError("adaptive_ratio must be > 0")
-        if adaptive_min_nodes < 0:
-            raise ValueError("adaptive_min_nodes must be >= 0")
         self.data = data
         self.mode = mode
         self.cpi_mode = cpi_mode
         self.core_strategy = core_strategy
-        self.cpi_impl = cpi_impl
         self.engine = engine
         self.plan_cache_size = plan_cache_size
         self.vector_mode = vector_mode
         self.vector_breadth = vector_breadth
         self.vector_min_row = vector_min_row
         self.aux_cache = aux_cache
-        self.label_pair_filter = label_pair_filter
-        self.nli_filter = nli_filter
-        self.cemr = cemr
-        self.adaptive = adaptive
-        self.adaptive_ratio = adaptive_ratio
-        self.adaptive_min_nodes = adaptive_min_nodes
         # ``(data.version, csr)``: the data-graph CSR for kernel
         # compilation, built lazily at most once per graph version and
         # shared by every plan compiled at that version.
@@ -568,23 +507,21 @@ class CFLMatch:
                     compiled, compiled.core, core_stats,
                     deadline=deadline, budget=budget,
                     vectorize=core_vec, vector_min_row=self.vector_min_row,
-                    cemr=self.cemr,
                 ),
                 KernelBacktracker(
                     compiled, compiled.forest, forest_stats,
                     deadline=deadline, budget=budget,
                     vectorize=forest_vec, vector_min_row=self.vector_min_row,
-                    cemr=self.cemr,
                 ),
             )
         return (
             CPIBacktracker(
                 plan.cpi, plan.core_slots, core_stats,
-                deadline=deadline, budget=budget, cemr=self.cemr,
+                deadline=deadline, budget=budget,
             ),
             CPIBacktracker(
                 plan.cpi, plan.forest_slots, forest_stats,
-                deadline=deadline, budget=budget, cemr=self.cemr,
+                deadline=deadline, budget=budget,
             ),
         )
 
@@ -623,23 +560,6 @@ class CFLMatch:
         plan.vector_stages = decision
         return decision[1], decision[2]
 
-    def cand_verify_for(self, query: Graph):
-        """The CandVerify callable this matcher's filter knobs select.
-
-        The plain :func:`~repro.core.filters.cand_verify` when neither
-        round-2 filter is on (preserving the builders' identity-based
-        fast paths), otherwise an
-        :class:`~repro.core.filters.ExtendedCandVerify` bound fresh to
-        ``(query, data)`` — also used by the incremental repair path so
-        repairs verify with the exact same filter stack as a cold build.
-        """
-        if self.label_pair_filter or self.nli_filter:
-            return ExtendedCandVerify(
-                query, self.data,
-                label_pair=self.label_pair_filter, nli=self.nli_filter,
-            )
-        return cand_verify
-
     def _build_cpi(
         self,
         query: Graph,
@@ -651,19 +571,10 @@ class CFLMatch:
             return build_naive_cpi(
                 query, self.data, root, stats=stats, deadline=deadline
             )
-        verify = self.cand_verify_for(query)
-        refine = self.cpi_mode == "full"
-        if self.cpi_impl == "numpy":
-            from .cpi_builder_numpy import build_cpi_numpy
-
-            return build_cpi_numpy(
-                query, self.data, root,
-                refine=refine, verify=verify, stats=stats, deadline=deadline,
-                aux=self.aux_cache,
-            )
         return build_cpi(
-            query, self.data, root, refine=refine, verify=verify, stats=stats,
-            deadline=deadline, aux=self.aux_cache,
+            query, self.data, root, refine=self.cpi_mode == "full",
+            verify=cand_verify, stats=stats, deadline=deadline,
+            aux=self.aux_cache,
         )
 
     def _forest_order(
@@ -738,27 +649,25 @@ class CFLMatch:
             leaf_stats = stage_stats.setdefault("leaf", SearchStats())
         else:
             core_stats = forest_stats = leaf_stats = stats
+        if roots is not None:
+            plan = self._with_root_candidates(plan, roots)
+        core_bt, forest_bt = self._backtrackers(
+            plan, core_stats, forest_stats, deadline, budget
+        )
         mapping = [-1] * query.num_vertices
         used = bytearray(self.data.num_vertices)
         emitted = 0
-        for sub_plan in self._plan_sequence(
-            query, plan, roots, core_stats, forest_stats, leaf_stats,
-            stage_stats is not None, stats,
-        ):
-            core_bt, forest_bt = self._backtrackers(
-                sub_plan, core_stats, forest_stats, deadline, budget
-            )
-            for _ in core_bt.extend(mapping, used):
-                for _ in forest_bt.extend(mapping, used):
-                    for _ in enumerate_leaf_matches(
-                        sub_plan.cpi, sub_plan.leaf_plan, mapping, used,
-                        leaf_stats, budget=budget,
-                    ):
-                        stats.embeddings += 1
-                        emitted += 1
-                        yield tuple(mapping)
-                        if limit is not None and emitted >= limit:
-                            return
+        for _ in core_bt.extend(mapping, used):
+            for _ in forest_bt.extend(mapping, used):
+                for _ in enumerate_leaf_matches(
+                    plan.cpi, plan.leaf_plan, mapping, used,
+                    leaf_stats, budget=budget,
+                ):
+                    stats.embeddings += 1
+                    emitted += 1
+                    yield tuple(mapping)
+                    if limit is not None and emitted >= limit:
+                        return
 
     def _with_root_candidates(
         self, plan: PreparedQuery, filtered: List[int]
@@ -799,112 +708,6 @@ class CFLMatch:
             vector_stages=plan.vector_stages,
         )
 
-    def _plan_sequence(
-        self,
-        query: Graph,
-        plan: PreparedQuery,
-        roots: Optional[List[int]],
-        core_stats: SearchStats,
-        forest_stats: SearchStats,
-        leaf_stats: SearchStats,
-        split_stats: bool,
-        stats: SearchStats,
-    ):
-        """The plans one enumeration runs, in order.
-
-        Normally a single (possibly root-restricted) plan.  With
-        ``adaptive`` and more than one root candidate, a lazy per-root
-        sequence: each root candidate is a pure partition of the result
-        set, so enumerating them one at a time yields the same
-        embeddings in the same order with the same counters — and gives
-        :meth:`_adaptive_plan_sequence` a safe point between roots to
-        compare progress against the cost-model estimate and re-plan
-        the remaining suffix.
-        """
-        if self.adaptive:
-            all_roots = (
-                roots if roots is not None
-                else list(plan.cpi.candidates[plan.root])
-            )
-            if len(all_roots) > 1:
-                if split_stats:
-                    def node_count() -> int:
-                        return (
-                            core_stats.nodes
-                            + forest_stats.nodes
-                            + leaf_stats.nodes
-                        )
-                else:
-                    # core/forest/leaf share one stats object: its
-                    # ``nodes`` already totals every stage.
-                    def node_count() -> int:
-                        return stats.nodes
-                return self._adaptive_plan_sequence(
-                    query, plan, all_roots, node_count, stats
-                )
-        if roots is not None:
-            return (self._with_root_candidates(plan, roots),)
-        return (plan,)
-
-    def _adaptive_plan_sequence(
-        self,
-        query: Graph,
-        plan: PreparedQuery,
-        roots: List[int],
-        node_count,
-        stats: SearchStats,
-    ) -> Iterator[PreparedQuery]:
-        """Root-chunk plans with at most one mid-search re-plan.
-
-        The trigger compares search nodes accrued so far against the
-        ordering cost model's own breadth estimate (the same DP
-        :func:`~repro.core.explain.stage_breadth` reports): once actual
-        work exceeds ``adaptive_ratio``× the estimate (and the
-        ``adaptive_min_nodes`` floor), the estimate that chose the
-        current matching order was clearly wrong — Algorithm 2 is
-        re-run against the CPI restricted to the *remaining* root
-        candidates, whose candidate distribution the first roots just
-        revealed, and the rest of the search runs the new order.
-        Embeddings already emitted are untouched: roots partition the
-        result set, so no partial work is redone or lost.
-
-        Roots are walked in chunks bounded by ``_ADAPTIVE_CHECKPOINTS``
-        rather than one at a time: each chunk pays a sub-plan
-        restriction plus backtracker setup, so per-root checkpoints
-        would tax well-ordered high-root plans (the ``>= 0.95x`` dense
-        regression gate) for trigger granularity no real workload
-        needs.
-        """
-        threshold = max(
-            self.adaptive_min_nodes,
-            int(self.adaptive_ratio * self._breadth_estimate(plan)),
-        )
-        chunk = max(1, -(-len(roots) // _ADAPTIVE_CHECKPOINTS))
-        start = node_count()
-        for begin in range(0, len(roots), chunk):
-            if begin and node_count() - start > threshold:
-                remaining = roots[begin:]
-                replanned = self.prepare_from_cpi(
-                    query, plan.cpi.with_root_candidates(remaining)
-                )
-                stats.adaptive_replans += 1
-                yield replanned
-                return
-            yield self._with_root_candidates(plan, roots[begin:begin + chunk])
-
-    def _breadth_estimate(self, plan: PreparedQuery) -> int:
-        """Estimated tree embeddings over the core+forest order — the
-        quantity the matching order was optimized against.  Memoized on
-        the plan: the estimate only depends on the CPI, which is frozen
-        once prepared."""
-        if plan.breadth_estimate is None:
-            scope = set(plan.core_order) | set(plan.forest_order)
-            plan.breadth_estimate = (
-                estimate_tree_embeddings(plan.cpi, plan.cpi.root, scope)
-                if scope else 0
-            )
-        return plan.breadth_estimate
-
     def count(
         self,
         query: Graph,
@@ -941,26 +744,24 @@ class CFLMatch:
             leaf_stats = stage_stats.setdefault("leaf", SearchStats())
         else:
             core_stats = forest_stats = leaf_stats = stats
+        if roots is not None:
+            plan = self._with_root_candidates(plan, roots)
+        core_bt, forest_bt = self._backtrackers(
+            plan, core_stats, forest_stats, deadline, budget
+        )
         mapping = [-1] * query.num_vertices
         used = bytearray(self.data.num_vertices)
         total = 0
-        for sub_plan in self._plan_sequence(
-            query, plan, roots, core_stats, forest_stats, leaf_stats,
-            stage_stats is not None, stats,
-        ):
-            core_bt, forest_bt = self._backtrackers(
-                sub_plan, core_stats, forest_stats, deadline, budget
-            )
-            for _ in core_bt.extend(mapping, used):
-                for _ in forest_bt.extend(mapping, used):
-                    cap = None if limit is None else limit - total
-                    total += count_leaf_matches(
-                        sub_plan.cpi, sub_plan.leaf_plan, mapping, used,
-                        cap=cap, stats=leaf_stats, budget=budget,
-                    )
-                    if limit is not None and total >= limit:
-                        stats.embeddings += limit
-                        return limit
+        for _ in core_bt.extend(mapping, used):
+            for _ in forest_bt.extend(mapping, used):
+                cap = None if limit is None else limit - total
+                total += count_leaf_matches(
+                    plan.cpi, plan.leaf_plan, mapping, used,
+                    cap=cap, stats=leaf_stats, budget=budget,
+                )
+                if limit is not None and total >= limit:
+                    stats.embeddings += limit
+                    return limit
         stats.embeddings += total
         return total
 

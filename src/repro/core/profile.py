@@ -27,7 +27,7 @@ from .matcher import CFLMatch, MatchReport, PreparedQuery
 from .parallel import parallel_run
 from .stats import SearchStats, cpi_level_totals, empty_phase_times, monotonic_now
 
-PROFILE_SCHEMA_VERSION = 6
+PROFILE_SCHEMA_VERSION = 7
 
 #: JSON Schema (draft-07 subset) for ``profile_query`` output.  Kept in
 #: lock-step with ``docs/profile.schema.json`` (a test asserts equality).
@@ -147,10 +147,6 @@ PROFILE_SCHEMA: Dict[str, Any] = {
                 "cpi_repairs",
                 "cpi_rebuilds",
                 "dirty_region_size",
-                "filter_label_pair_pruned",
-                "filter_nli_pruned",
-                "cemr_memo_hits",
-                "adaptive_replans",
             ],
             "additionalProperties": {"type": "integer", "minimum": 0},
         },

@@ -480,11 +480,7 @@ class SharedGraph(Graph):
         graph._label_index = None
         graph._nlf = None
         graph._mnd = views[_G_MND]
-        graph._csr = None
         graph._signature = None
-        graph._label_pairs = None
-        graph._label_bits = None
-        graph._nli_masks = None
         graph._label_sections = (
             views[_G_LABEL_KEYS], views[_G_LABEL_INDPTR], views[_G_LABEL_FLAT]
         )

@@ -7,11 +7,9 @@ query machinery (:mod:`repro.core.dynamic`): ``add_edge`` /
 ``remove_edge`` / ``add_vertex`` / ``remove_vertex`` mutate the graph in
 place while *incrementally* maintaining every derived structure the
 matchers read — the sorted adjacency rows and neighbor sets, the label
-index, the NLF / MND filter tables (Section A.6), and the optimizer
-round-2 label-pair index and NLI bitmasks — instead of invalidating and
-rebuilding them.  Only the CSR views and the structural
-signature are dropped on mutation (they are array snapshots with no
-cheap incremental form).
+index, and the NLF / MND filter tables (Section A.6) — instead of
+invalidating and rebuilding them.  Only the structural signature is
+dropped on mutation (it is a snapshot with no cheap incremental form).
 
 Every mutation bumps a monotonically increasing ``version`` and appends
 a :class:`TouchSet` to a bounded mutation log: the set of data labels
@@ -253,8 +251,6 @@ class DynamicGraph(Graph):
             self._nlf.append({})
         if self._mnd is not None:
             cast(List[int], self._mnd).append(0)
-        if self._nli_masks is not None:
-            self._nli_masks.append(0)
         self._commit(frozenset((label,)))
         return v
 
@@ -290,13 +286,6 @@ class DynamicGraph(Graph):
             for w in adj[v]:
                 if mnd[w] < dv:
                     mnd[w] = dv
-        if self._label_pairs is not None:
-            lu, lv = labels[u], labels[v]
-            key = (lu, lv) if lu <= lv else (lv, lu)
-            self._label_pairs[key] = self._label_pairs.get(key, 0) + 1
-        if self._nli_masks is not None:
-            self._nli_masks[u] |= 1 << self._nli_bit(labels[v])
-            self._nli_masks[v] |= 1 << self._nli_bit(labels[u])
         self._commit(touched)
 
     def remove_edge(self, u: int, v: int) -> None:
@@ -354,8 +343,6 @@ class DynamicGraph(Graph):
             if self._mnd is not None:
                 mnd = cast(List[int], self._mnd)
                 mnd[v] = mnd[last]
-            if self._nli_masks is not None:
-                self._nli_masks[v] = self._nli_masks[last]
         labels.pop()
         adj.pop()
         adj_sets.pop()
@@ -363,8 +350,6 @@ class DynamicGraph(Graph):
             self._nlf.pop()
         if self._mnd is not None:
             cast(List[int], self._mnd).pop()
-        if self._nli_masks is not None:
-            self._nli_masks.pop()
         self._commit(frozenset(touched), renumbered=renumbered)
 
     # ------------------------------------------------------------------
@@ -416,22 +401,6 @@ class DynamicGraph(Graph):
             affected.update(adj[v])
             for x in sorted(affected):
                 mnd[x] = max((len(adj[w]) for w in adj[x]), default=0)
-        if self._label_pairs is not None:
-            lu, lv = labels[u], labels[v]
-            key = (lu, lv) if lu <= lv else (lv, lu)
-            remaining_pairs = self._label_pairs[key] - 1
-            if remaining_pairs:
-                self._label_pairs[key] = remaining_pairs
-            else:
-                del self._label_pairs[key]
-        if self._nli_masks is not None:
-            # A neighbor label may persist through other edges, so the
-            # endpoint masks are recomputed exactly from their rows.
-            for a in (u, v):
-                mask = 0
-                for w in adj[a]:
-                    mask |= 1 << self._nli_bit(labels[w])
-                self._nli_masks[a] = mask
 
     def _label_index_remove(self, label: int, v: int) -> None:
         index = cast(Dict[int, List[int]], self._label_index)
@@ -441,8 +410,7 @@ class DynamicGraph(Graph):
             del index[label]
 
     def _commit(self, labels: FrozenSet[int], renumbered: bool = False) -> None:
-        """Invalidate snapshot caches, bump the version, log the touch."""
-        self._csr = None
+        """Invalidate the signature, bump the version, log the touch."""
         self._signature = None
         self._version += 1
         self._log.append(TouchSet(self._version, labels, renumbered))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import (
     AbstractSet,
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -24,8 +23,6 @@ from typing import (
     cast,
 )
 
-#: lazy CSR cache: (indptr, indices, labels, degrees) numpy arrays
-CSRArrays = Tuple[Any, Any, Any, Any]
 #: exact structural key: (labels, sorted edge list)
 Signature = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
@@ -55,11 +52,7 @@ class Graph:
         "_label_index",
         "_nlf",
         "_mnd",
-        "_csr",
         "_signature",
-        "_label_pairs",
-        "_label_bits",
-        "_nli_masks",
     )
 
     # Storage is annotated with read-only protocols rather than the
@@ -94,11 +87,7 @@ class Graph:
         self._label_index: Optional[Dict[int, Sequence[int]]] = None
         self._nlf: Optional[List[Dict[int, int]]] = None
         self._mnd: Optional[Sequence[int]] = None
-        self._csr: Optional[CSRArrays] = None
         self._signature: Optional[Signature] = None
-        self._label_pairs: Optional[Dict[Tuple[int, int], int]] = None
-        self._label_bits: Optional[Dict[int, int]] = None
-        self._nli_masks: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -217,103 +206,6 @@ class Graph:
             adj = self.adj
             self._mnd = [max((len(adj[w]) for w in nbrs), default=0) for nbrs in adj]
         return self._mnd[v]
-
-    def label_pair_index(self) -> Dict[Tuple[int, int], int]:
-        """Map unordered label pair ``(a, b)`` with ``a <= b`` to the number
-        of data edges connecting the two labels (l2Match's label-pair
-        index).  Stored as counts, not a set, so the dynamic-graph layer
-        can decrement on edge removal and drop pairs that reach zero.
-        """
-        if self._label_pairs is None:
-            pairs: Dict[Tuple[int, int], int] = {}
-            labels = self.labels
-            for u, nbrs in enumerate(self.adj):
-                lu = labels[u]
-                for v in nbrs:
-                    if u < v:
-                        lv = labels[v]
-                        key = (lu, lv) if lu <= lv else (lv, lu)
-                        pairs[key] = pairs.get(key, 0) + 1
-            self._label_pairs = pairs
-        return self._label_pairs
-
-    def has_label_pair(self, a: int, b: int) -> bool:
-        """True iff some data edge connects labels ``a`` and ``b``."""
-        key = (a, b) if a <= b else (b, a)
-        return key in self.label_pair_index()
-
-    def label_bits(self) -> Dict[int, int]:
-        """Map label -> bit position for NLI mask encoding.
-
-        Bits are assigned to the labels present in this graph (sorted for
-        determinism).  Labels absent from the map cannot appear in any
-        vertex's neighborhood, so a query needing one matches nothing.
-        """
-        if self._label_bits is None:
-            self._label_bits = {
-                lab: i for i, lab in enumerate(sorted(self.label_index()))
-            }
-        return self._label_bits
-
-    def nli_mask(self, v: int) -> int:
-        """Neighboring-label set of ``v`` as a bitmask over :meth:`label_bits`.
-
-        A candidate check reduces to one integer subset test:
-        ``required_mask & ~nli_mask(v) == 0``.
-        """
-        if self._nli_masks is None:
-            labels = self.labels
-            masks: List[int] = []
-            for nbrs in self.adj:
-                mask = 0
-                for w in nbrs:
-                    mask |= 1 << self._nli_bit(labels[w])
-                masks.append(mask)
-            self._nli_masks = masks
-        return self._nli_masks[v]
-
-    def _nli_bit(self, label: int) -> int:
-        """Bit position for ``label``, assigning a fresh one when the
-        cached map predates the label (dynamic graphs grow labels)."""
-        bits = self.label_bits()
-        bit = bits.get(label)
-        if bit is None:
-            bit = bits[label] = len(bits)
-        return bit
-
-    def nli_required_mask(self, neighbor_labels: Iterable[int]) -> Optional[int]:
-        """Bitmask a candidate's NLI must cover to host a query vertex whose
-        neighborhood carries ``neighbor_labels``; ``None`` when some label
-        has no bit here (no data vertex can satisfy it)."""
-        bits = self.label_bits()
-        mask = 0
-        for lab in neighbor_labels:
-            bit = bits.get(lab)
-            if bit is None:
-                return None
-            mask |= 1 << bit
-        return mask
-
-    def csr(self) -> CSRArrays:
-        """CSR-style numpy views: ``(indptr, indices, labels, degrees)``.
-
-        ``indices[indptr[v]:indptr[v+1]]`` are v's neighbors.  Built once
-        and cached; used by the vectorized CPI builder.
-        """
-        if self._csr is None:
-            import numpy as np
-
-            degrees = np.fromiter(
-                (len(nbrs) for nbrs in self.adj), dtype=np.int64, count=len(self.adj)
-            )
-            indptr = np.zeros(len(self.adj) + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.int64)
-            for v, nbrs in enumerate(self.adj):
-                indices[indptr[v]:indptr[v + 1]] = nbrs
-            labels = np.asarray(self.labels, dtype=np.int64)
-            self._csr = (indptr, indices, labels, degrees)
-        return self._csr
 
     # ------------------------------------------------------------------
     # Structure helpers

@@ -98,7 +98,6 @@ PLAN_PRODUCERS = frozenset(
         "from_cpi",
         "build_cpi",
         "build_naive_cpi",
-        "build_cpi_numpy",
     }
 )
 
@@ -319,7 +318,6 @@ RULE = register(
         excludes=(
             "src/repro/core/cpi.py",
             "src/repro/core/cpi_builder.py",
-            "src/repro/core/cpi_builder_numpy.py",
             "src/repro/core/cpi_storage.py",
             "src/repro/core/matcher.py",
         ),

@@ -26,19 +26,6 @@ counters* (the observability layer of :mod:`repro.core.stats`):
                                 superset search tree
 ==============================  ========================================
 
-Two relations cover the round-2 optimizer features (PR 10):
-
-==============================  ========================================
-``stats-optimizer-identity``    turning on the label-pair/NLI filters
-                                and CEMR leaves every counter identical
-                                except ``cemr_memo_hits`` and the
-                                per-filter attribution split, whose sum
-                                of rejections is conserved (both engines)
-``adaptive-replanning``         an aggressively-triggered mid-search
-                                re-plan produces the same embedding set
-                                as the pinned-order run (both engines)
-==============================  ========================================
-
 Two dynamic relations (PR 8) extend the oracle to the mutation layer:
 
 ==========================  ===========================================
@@ -201,19 +188,7 @@ ABLATION_CONFIGS = (
     ("match/full", {"mode": "match"}),
     ("cfl/td", {"cpi_mode": "td"}),
     ("cfl/naive", {"cpi_mode": "naive"}),
-    ("cfl/full/numpy", {"cpi_impl": "numpy"}),
     ("cfl/full/hierarchical", {"core_strategy": "hierarchical"}),
-    # optimizer round 2: label-pair / NLI filters are pruning-only
-    # subsets of NLF, CEMR memoizes provably-dead extensions, adaptive
-    # re-planning only reorders the remaining suffix — none may change
-    # the embedding set.
-    ("cfl/full/label-pair", {"label_pair_filter": True}),
-    ("cfl/full/nli", {"nli_filter": True}),
-    ("cfl/full/cemr", {"cemr": True}),
-    ("cfl/full/optimized", {
-        "label_pair_filter": True, "nli_filter": True, "cemr": True,
-        "adaptive": True, "adaptive_ratio": 2.0, "adaptive_min_nodes": 64,
-    }),
 )
 
 
@@ -313,89 +288,6 @@ def relation_stats_filter_ablation(data, query, matcher_name, rng) -> Optional[s
     return None
 
 
-#: Counters allowed to differ when the round-2 optimizer features are
-#: toggled: memo hits only exist with CEMR on, and the four filter
-#: attribution counters re-split the same rejection total.
-_OPTIMIZER_EXEMPT = frozenset(
-    {
-        "cemr_memo_hits",
-        "filter_label_pair_pruned",
-        "filter_nli_pruned",
-        "filter_mnd_pruned",
-        "filter_nlf_pruned",
-    }
-)
-
-
-def relation_stats_optimizer_identity(data, query, matcher_name, rng) -> Optional[str]:
-    """Round-2 optimizer features are counter-invisible where promised.
-
-    With the label-pair/NLI filters and CEMR all on, every counter must
-    match the plain run bit-for-bit except ``cemr_memo_hits`` (new
-    work-avoidance events) and the per-filter attribution split — whose
-    *sum* of rejections must still be conserved (the filters reject the
-    same candidates, just earlier and cheaper).  Checked on both
-    engines.
-    """
-    if not query.is_connected():
-        return None
-    for engine in ("kernel", "reference"):
-        base = CFLMatch(data, engine=engine).run(query, limit=None, count_only=True)
-        optimized = CFLMatch(
-            data, engine=engine,
-            label_pair_filter=True, nli_filter=True, cemr=True,
-        ).run(query, limit=None, count_only=True)
-        base_counters = base.counters()
-        optimized_counters = optimized.counters()
-        diffs = {
-            name: (base_counters[name], optimized_counters[name])
-            for name in base_counters
-            if name not in _OPTIMIZER_EXEMPT
-            and base_counters[name] != optimized_counters[name]
-        }
-        if diffs:
-            return f"optimizer features changed {engine} counters: {diffs}"
-        filter_names = _OPTIMIZER_EXEMPT - {"cemr_memo_hits"}
-        base_rejected = sum(base_counters[n] for n in filter_names)
-        optimized_rejected = sum(optimized_counters[n] for n in filter_names)
-        if base_rejected != optimized_rejected:
-            return (
-                f"{engine} filter rejections not conserved "
-                f"({base_rejected} -> {optimized_rejected})"
-            )
-    return None
-
-
-def relation_adaptive_replanning(data, query, matcher_name, rng) -> Optional[str]:
-    """Mid-search re-planning never changes the result set.
-
-    An aggressive trigger (ratio + floor forced low so nearly every
-    multi-root search re-plans) must produce the same embeddings as the
-    pinned-order run on both engines: roots partition the result set
-    and the re-planned suffix only reorders enumeration of the
-    remaining partition.
-    """
-    if not query.is_connected():
-        return None
-    pinned = set(CFLMatch(data).search(query))
-    for engine in ("kernel", "reference"):
-        adaptive = set(
-            CFLMatch(
-                data, engine=engine,
-                adaptive=True, adaptive_ratio=0.01, adaptive_min_nodes=0,
-            ).search(query)
-        )
-        if adaptive != pinned:
-            missing = sorted(pinned - adaptive)[:3]
-            extra = sorted(adaptive - pinned)[:3]
-            return (
-                f"adaptive re-planning changed the {engine} embedding set "
-                f"(|pinned|={len(pinned)}, |adaptive|={len(adaptive)}, "
-                f"missing={missing}, extra={extra})"
-            )
-    return None
-
-
 def relation_delta_commutativity(data, query, matcher_name, rng) -> Optional[str]:
     """Applying a delta stream then matching equals matching on the final
     graph built from scratch.
@@ -475,8 +367,6 @@ METAMORPHIC_RELATIONS: Dict[str, Relation] = {
     "filter-ablation": relation_filter_ablation,
     "stats-vertex-permutation": relation_stats_vertex_permutation,
     "stats-filter-ablation": relation_stats_filter_ablation,
-    "stats-optimizer-identity": relation_stats_optimizer_identity,
-    "adaptive-replanning": relation_adaptive_replanning,
     "delta-commutativity": relation_delta_commutativity,
     "insert-remove-inverse": relation_insert_remove_inverse,
 }

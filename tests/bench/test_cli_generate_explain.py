@@ -1,5 +1,7 @@
 """CLI tests for the generate and explain subcommands."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -58,3 +60,24 @@ class TestExplain:
         assert "CFL-Match plan" in out
         assert "matching order:" in out
         assert "estimated embeddings" in out
+
+    def test_json_execute(self, files, capsys):
+        data, query = files
+        code = main(
+            ["explain", "--data", data, "--query", query, "--execute", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "ok"
+        assert {"estimated_embeddings", "matching_order", "root", "stages"} <= set(
+            payload
+        )
+        for row in payload["stages"]:
+            assert {"stage", "vertices", "estimated_breadth", "actual_expansions"} <= set(row)
+
+    def test_text_breadth_table(self, files, capsys):
+        data, query = files
+        code = main(["explain", "--data", data, "--query", query, "--execute"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "estimated" in out and "actual" in out

@@ -91,11 +91,11 @@ class TestBatchDifferential:
                     == expected.build_stats.to_dict()
                 ), case.describe()
 
-    def test_numpy_builder_batch_matches(self):
+    def test_reference_engine_batch_matches(self):
         case = generate_case(1, 0, DENSE_SPEC)
         queries = batch_for(case, 1)
-        baseline = one_at_a_time(case.data, queries, cpi_impl="numpy")
-        report = BatchMatcher(case.data, cpi_impl="numpy").run(
+        baseline = one_at_a_time(case.data, queries, engine="reference")
+        report = BatchMatcher(case.data, engine="reference").run(
             queries, count_only=False, collect=True
         )
         for index, result in enumerate(report.results):
@@ -291,6 +291,44 @@ class TestVectorizedKernel:
             auto.search(case.query, stats=a_stats)
         )
         assert o_stats.to_dict() == a_stats.to_dict()
+
+
+    def test_forced_on_really_runs_numpy_intersection(self, monkeypatch):
+        """numpy is a declared dependency: with ``vector_mode="on"`` a
+        backward-checked row of at least ``max(_INTERSECT_MIN,
+        vector_min_row)`` goes through ``_intersect_numpy`` (not the
+        scalar fallback), with every counter equal to ``"off"``."""
+        from repro.core import kernel
+        from repro.graph import Graph
+
+        assert kernel._np is not None
+        calls = []
+        real = kernel._intersect_numpy
+
+        def counting(*args):
+            calls.append(args[3] - args[2])  # row length: stop - begin
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "_intersect_numpy", counting)
+        rng = random.Random(7)
+        edges = set()
+        while len(edges) < 2000:  # 100 vertices, average degree 40
+            u, v = rng.sample(range(100), 2)
+            edges.add((min(u, v), max(u, v)))
+        data = Graph([0] * 100, sorted(edges))
+        triangle = Graph([0, 0, 0], [(0, 1), (1, 2), (0, 2)])
+        min_row = kernel._INTERSECT_MIN
+        counts, stats = {}, {}
+        for mode in ("off", "on"):
+            stats[mode] = SearchStats()
+            counts[mode] = CFLMatch(
+                data, vector_mode=mode, vector_min_row=min_row
+            ).count(triangle, stats=stats[mode])
+            if mode == "off":
+                assert calls == []
+        assert calls and max(calls) >= min_row
+        assert counts["on"] == counts["off"] > 0
+        assert stats["on"].to_dict() == stats["off"].to_dict()
 
 
 class TestBatchPool:

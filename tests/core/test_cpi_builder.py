@@ -1,10 +1,12 @@
 """Unit tests for CPI construction (Algorithms 3 & 4, Examples 5.1/5.2)."""
 
 from repro.core import build_cpi, build_naive_cpi
+from repro.core.batch import AuxAdjacencyCache
 from repro.core.cpi import QueryBFSTree
 from repro.core.cpi_builder import _top_down_construct
 from repro.core.filters import cand_verify
-from repro.graph import Graph
+from repro.core.stats import SearchStats
+from repro.graph import DynamicGraph, Graph
 from repro.workloads.paper_graphs import figure7_example
 from tests.conftest import nx_monomorphisms, random_instance
 
@@ -152,3 +154,64 @@ class TestEdgeCases:
         assert cpi.candidates[2] == []
         assert cpi.candidates[1] == []
         assert cpi.candidates[0] == []
+
+
+def _custom_verify(query, data, u, v):
+    return (u + v) % 3 != 0  # arbitrary predicate, counted as "other"
+
+
+#: Verify callables covering every CandVerify attribution path.
+VERIFIERS = {
+    "cand_verify": cand_verify,
+    "none": None,
+    "custom": _custom_verify,
+}
+
+
+def _assert_same_build(query, data, root, verifiers=tuple(VERIFIERS)):
+    """``build_cpi`` with a batch-shared ``AuxAdjacencyCache`` agrees with
+    the plain build on the CPI and on every SearchStats counter, for each
+    verify callable and both ``refine`` settings."""
+    for name in verifiers:
+        for refine in (False, True):
+            built = {}
+            for use_aux in (False, True):
+                stats = SearchStats()
+                cpi = build_cpi(
+                    query, data, root, refine=refine,
+                    verify=VERIFIERS[name], stats=stats,
+                    aux=AuxAdjacencyCache(data) if use_aux else None,
+                )
+                built[use_aux] = (cpi.candidates, cpi.adjacency, stats.to_dict())
+            assert built[True] == built[False], (name, refine)
+
+
+class TestEquivalence:
+    def test_identical_to_reference_on_figure7(self):
+        ex = figure7_example()
+        _assert_same_build(ex.query, ex.data, ex.q("u0"))
+
+    def test_identical_on_random_instances(self, rng):
+        for _ in range(30):
+            data, query = random_instance(rng)
+            _assert_same_build(query, data, rng.randrange(query.num_vertices))
+
+    def test_verify_none(self):
+        ex = figure7_example()
+        _assert_same_build(ex.query, ex.data, ex.q("u0"), verifiers=["none"])
+
+    def test_custom_verify_callback(self):
+        ex = figure7_example()
+        _assert_same_build(ex.query, ex.data, ex.q("u0"), verifiers=["custom"])
+
+    def test_identical_on_dynamic_graph_after_toggles(self, rng):
+        for _ in range(10):
+            static, query = random_instance(rng)
+            data = DynamicGraph.from_graph(static)
+            for _ in range(25):
+                a, b = rng.sample(range(data.num_vertices), 2)
+                if data.has_edge(a, b):
+                    data.remove_edge(a, b)
+                else:
+                    data.add_edge(a, b)
+            _assert_same_build(query, data, 0)

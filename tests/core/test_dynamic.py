@@ -236,6 +236,24 @@ class TestRepairDispatch:
         assert report.embeddings == 3
         assert report.results == [(0, 2), (0, 3), (1, 3)]
 
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    def test_incremental_matcher_forwards_kwargs(self, engine):
+        """Constructor knobs reach the inner matcher, and repairs under
+        them still agree with a cold matcher on the final graph."""
+        data, query = small_instance()
+        inc = IncrementalMatcher(
+            data, engine=engine, vector_mode="on", vector_min_row=1
+        )
+        matcher = inc._matcher
+        assert (matcher.engine, matcher.vector_mode, matcher.vector_min_row) == (
+            engine, "on", 1,
+        )
+        assert inc.count(query) == 2
+        data.add_edge(0, 3)
+        assert inc.count(query) == 3
+        data.remove_edge(1, 3)
+        assert inc.count(query) == CFLMatch(data.to_static()).count(query) == 2
+
 
 def dense_dynamic(seed, vertices=150, edges=3000):
     """Two labels, average degree 40: candidate rows exceed the kernel's

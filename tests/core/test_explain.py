@@ -1,7 +1,8 @@
 """Tests for the EXPLAIN plan renderer and cardinality estimate."""
 
 from repro.core import CFLMatch
-from repro.core.explain import estimate_embeddings, explain
+from repro.core.explain import estimate_embeddings, explain, stage_breadth
+from repro.core.profile import profile_query, validate_profile
 from repro.graph import Graph
 from repro.workloads.paper_graphs import figure1_example, figure3_example
 from tests.conftest import random_instance
@@ -57,3 +58,36 @@ class TestExplain:
         ex = figure3_example()
         text = explain(CFLMatch(ex.data, mode="cf", cpi_mode="td"), ex.query)
         assert "mode=cf" in text and "cpi=td" in text
+
+
+class TestStageBreadthTruncation:
+    def test_truncated_rows_flagged(self):
+        ex = figure1_example(12, 60)
+        matcher = CFLMatch(ex.data)
+        prepared = matcher.prepare(ex.query)
+        report = matcher.run(
+            ex.query, prepared=prepared, count_only=True, max_expansions=2
+        )
+        assert report.status == "budget_exhausted"
+        rows = stage_breadth(prepared, report)
+        assert rows and all(row["truncated"] is True for row in rows)
+        # Partial actuals stay coherent: never more work than the run did.
+        assert sum(row["actual_expansions"] for row in rows) <= max(
+            report.stats.nodes, 1
+        ) + len(rows)
+
+    def test_ok_rows_not_flagged(self):
+        ex = figure3_example()
+        matcher = CFLMatch(ex.data)
+        prepared = matcher.prepare(ex.query)
+        report = matcher.run(ex.query, prepared=prepared, count_only=True)
+        assert report.status == "ok"
+        for row in stage_breadth(prepared, report):
+            assert "truncated" not in row
+
+    def test_truncated_profile_validates(self):
+        ex = figure1_example(12, 60)
+        payload = profile_query(ex.data, ex.query, max_expansions=2)
+        assert payload["status"] == "budget_exhausted"
+        assert validate_profile(payload) == []
+        assert any(row.get("truncated") for row in payload["stages"])

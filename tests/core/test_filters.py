@@ -1,7 +1,10 @@
 """Unit tests for candidate filters (CandVerify, Section A.6)."""
 
 from repro.core import cand_verify, full_candidate_check, label_degree_ok, mnd_ok, nlf_ok
+from repro.core.filters import verify_candidates
+from repro.core.stats import SearchStats
 from repro.graph import Graph
+from tests.conftest import random_instance
 
 
 def star(center_label, leaf_labels):
@@ -87,3 +90,53 @@ class TestCandVerify:
             for emb in nx_monomorphisms(query, data):
                 for u, v in enumerate(emb):
                     assert full_candidate_check(query, data, u, v)
+
+
+class TestVerifyCandidatesAttribution:
+    """``verify_candidates`` is the batched CandVerify: it must keep what a
+    per-vertex loop keeps and charge each rejection to the filter that
+    fires first in Algorithm 6's order (MND, then NLF)."""
+
+    def test_cand_verify_matches_per_vertex_loop(self, rng):
+        charged = {"mnd": 0, "nlf": 0}
+        for _ in range(40):
+            data, query = random_instance(rng)
+            vertices = list(data.vertices())
+            for u in query.vertices():
+                stats = SearchStats()
+                kept = verify_candidates(query, data, u, vertices, cand_verify, stats)
+                assert kept == [v for v in vertices if cand_verify(query, data, u, v)]
+                mnd_rejects = [v for v in vertices if not mnd_ok(query, data, u, v)]
+                nlf_rejects = [
+                    v for v in vertices
+                    if mnd_ok(query, data, u, v) and not nlf_ok(query, data, u, v)
+                ]
+                assert stats.filter_mnd_pruned == len(mnd_rejects)
+                assert stats.filter_nlf_pruned == len(nlf_rejects)
+                assert stats.filter_other_pruned == 0
+                charged["mnd"] += len(mnd_rejects)
+                charged["nlf"] += len(nlf_rejects)
+        # Both branches must actually be exercised for the check to bite.
+        assert charged["mnd"] > 0 and charged["nlf"] > 0
+
+    def test_custom_callable_charges_only_other(self, rng):
+        def custom(query, data, u, v):
+            return (u + v) % 3 != 0
+
+        for _ in range(20):
+            data, query = random_instance(rng)
+            vertices = list(data.vertices())
+            for u in query.vertices():
+                stats = SearchStats()
+                kept = verify_candidates(query, data, u, vertices, custom, stats)
+                assert kept == [v for v in vertices if custom(query, data, u, v)]
+                expected = SearchStats()
+                expected.filter_other_pruned = len(vertices) - len(kept)
+                assert stats.to_dict() == expected.to_dict()
+
+    def test_none_keeps_everything_and_charges_nothing(self, rng):
+        data, query = random_instance(rng)
+        stats = SearchStats()
+        vertices = list(data.vertices())
+        assert verify_candidates(query, data, 0, iter(vertices), None, stats) == vertices
+        assert stats.to_dict() == SearchStats().to_dict()

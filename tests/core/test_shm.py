@@ -530,18 +530,21 @@ class TestSegmentLifecycle:
                     "print('attached', flush=True)\n"
                     "time.sleep(30)\n"
                 )
-                proc = subprocess.Popen(
+                # The context manager closes the child's pipes on exit.
+                with subprocess.Popen(
                     [sys.executable, "-c", code],
                     stdout=subprocess.PIPE,
                     stderr=subprocess.PIPE,
                     env={**os.environ, "PYTHONPATH": "src"},
                     cwd=str(REPO_ROOT),
                     text=True,
-                )
-                assert proc.stdout is not None
-                assert proc.stdout.readline().strip() == "attached"
-                proc.send_signal(signal.SIGKILL)
-                proc.wait(timeout=30)
+                ) as proc:
+                    try:
+                        assert proc.stdout is not None
+                        assert proc.stdout.readline().strip() == "attached"
+                    finally:
+                        proc.send_signal(signal.SIGKILL)
+                        proc.wait(timeout=30)
             finally:
                 segment.unlink()
                 segment.close()
